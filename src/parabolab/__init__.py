@@ -25,7 +25,7 @@ from parabolab.solver import SolveOptions, Solution, solve_ibvp, solve_split, st
 from parabolab.norms import lq_spacetime, ess_sup, sup_t_spatial_l1, sobolev_constant_estimate
 from parabolab.moser import normalize, exp_change, exp_moment, l1_check, chi, ladder, exponents, trace, interpolation_check, assemble_bound
 from parabolab.constants import build_ledger, degeneracy_scan
-from parabolab.experiments import BumpFamily, bump, run_sweep, fit_log_law
+from parabolab.experiments import BumpFamily, bump, diagnose, run_sweep, fit_log_law
 
 __version__ = "0.1.0"
 
@@ -37,5 +37,5 @@ __all__ = [
     "normalize", "exp_change", "exp_moment", "l1_check", "chi", "ladder",
     "exponents", "trace", "interpolation_check", "assemble_bound",
     "build_ledger", "degeneracy_scan",
-    "BumpFamily", "bump", "run_sweep", "fit_log_law",
+    "BumpFamily", "bump", "diagnose", "run_sweep", "fit_log_law",
 ]

@@ -116,10 +116,3 @@ def ledger_to_csv(ledger: ConstantsLedger) -> str:
     for name, value in pairs:
         lines.append(f"{name},{'' if value is None else format(value, '.13g')}")
     return "\n".join(lines) + "\n"
-
-
-def scan_to_text(rows) -> str:
-    lines = [f"{'q':>10s} {'chi':>14s} {'alpha0':>14s} {'final':>14s}"]
-    for q, c, alpha0, final in rows:
-        lines.append(f"{q:10.6g} {c:14.10g} {alpha0:14.10g} {final:14.10g}")
-    return "\n".join(lines) + "\n"

@@ -9,10 +9,12 @@ eps shrinks: shrinking eps walks the forcing up the q-norm axis at
 fixed critical norm, which is exactly the regime where the logarithmic
 sup-norm law is visible against the classical linear-in-|f|_q bound.
 
-The sweep solves one problem per eps (largest first), runs the full
-diagnostic chain on each solution (both signs), selects a single
-exponential-moment rate alpha for the whole sweep, and fits
-sup|phi| against ln(|f|_q + 1) by ordinary least squares.
+:func:`diagnose` runs the diagnostic chain on one split solution; the
+CLI's diagnose command and the sweep both call it.  The sweep checks
+every eps against the grid, then solves one problem per eps (largest
+first), diagnoses each solution, selects a single exponential-moment
+rate alpha for the whole sweep, and fits sup|phi| against
+ln(|f|_q + 1) by ordinary least squares.
 """
 
 import math
@@ -25,8 +27,9 @@ import numpy as np
 from parabolab.errors import (ConfigurationError, FitError, RangeError,
                               ResolutionError, SolverError)
 from parabolab.fields import SPACETIME, Field, Grid, ProblemSpec
-from parabolab.moser import (BoundReport, exp_change, exp_moment, exponents,
-                             interpolation_check, l1_check, normalize, trace)
+from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
+                             exp_change, exp_moment, interpolation_check, l1_check,
+                             normalize, trace)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_split
@@ -46,12 +49,13 @@ def _psi(rho2: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump(eps: float, gamma: float, center, grid: Grid) -> Field:
-    """Sample f_eps = eps^(-gamma) psi((x-x0)/eps, (t-t0)/eps^2) on the grid.
+def check_bump(eps: float, center, grid: Grid):
+    """Raise unless the bump at eps is resolved and fits in the box.
 
     center is (x0_1, ..., x0_N, t0).  The bump must be resolved (at
     least 4 cells across its radius in space, 4 steps across eps^2 in
-    time) and its support must fit inside the space-time box.
+    time) and its support must fit inside the space-time box.  Returns
+    (x0, t0).
     """
     N = grid.dim
     center = tuple(float(c) for c in center)
@@ -82,7 +86,16 @@ def bump(eps: float, gamma: float, center, grid: Grid) -> Field:
         raise ConfigurationError(
             f"bump support [t0 +- eps^2] leaves (0, T): t0 = {t0:.6g}, "
             f"eps^2 = {eps * eps:.6g}, T = {grid.T:.6g}")
+    return x0, t0
 
+
+def bump(eps: float, gamma: float, center, grid: Grid) -> Field:
+    """Sample f_eps = eps^(-gamma) psi((x-x0)/eps, (t-t0)/eps^2) on the grid.
+
+    center is (x0_1, ..., x0_N, t0); :func:`check_bump` guards eps.
+    """
+    N = grid.dim
+    x0, t0 = check_bump(eps, center, grid)
     mesh = grid.meshgrid()
     space_rho2 = np.zeros(grid.shape_space)
     for k in range(N):
@@ -100,13 +113,6 @@ class BumpFamily:
     t0: float
     gamma: float = 2.0
     amplitude: float = 1.0
-
-    @classmethod
-    def default_for(cls, grid: Grid, gamma: float = 2.0) -> "BumpFamily":
-        # parabolic interior default: spatial midpoint, t0 = 0.6 T keeps
-        # the support clear of the initial slice and the lateral walls
-        mid = tuple(0.5 * (lo + hi) for lo, hi in grid.box)
-        return cls(mid, 0.6 * grid.T, gamma)
 
     def field(self, eps: float, grid: Grid) -> Field:
         f = bump(eps, self.gamma, (*self.center, self.t0), grid)
@@ -191,6 +197,59 @@ def fit_log_law(rows) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
+# diagnosis
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Diagnosis:
+    """The estimate chain on one split solution phi = phi1 + phi2."""
+    phi_sup: float         # |phi1 + phi2|_inf
+    sup_phi0: float        # |phi0|_inf
+    drift_sup: float       # |phi2|_inf
+    f_norm_crit: float     # |f|_{1+N/2}
+    f_norm_q: float        # |f|_q
+    scale: float           # normalization max(|f|_{1+N/2}, 1)
+    l1: tuple              # l1_check (lhs, rhs, passed) of the normalized pair
+    trace: MoserTrace      # ladder trace of the dominant sign
+    interpolation: tuple   # interpolation_check (lhs, rhs, passed), dominant sign
+    moments: dict          # alpha -> max exp_moment over both signs, inf on overflow
+
+
+def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
+             beta0: float = 1.0, i_max: int = 12) -> Diagnosis:
+    """Run the diagnostic chain on the forced part phi1 and drift phi2.
+
+    phi1 solves the problem with forcing f and zero data, phi2 the one
+    with data phi0 and no forcing.  phi1 is normalized by the critical
+    forcing norm; the exponential change, ladder trace, interpolation
+    check (alpha = min(1, r/2)) and exponential moments then run on u
+    and on -u.  The sign with the larger measured sup supplies the trace
+    and the interpolation triple; each moment keeps its larger value.
+    """
+    grid = f.grid
+    N = grid.dim
+    r = (1.0 + beta0) * q / (q - 1.0)
+    phi_sup = ess_sup(Field(grid, phi1.values + phi2.values, SPACETIME))
+    pair = normalize(phi1, f)
+    best = None  # (trace, interpolation triple)
+    moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
+    for u in (pair.u, Field(grid, -pair.u.values, SPACETIME)):
+        _, w = exp_change(u)
+        tr = trace(w, beta0, q, N, i_max)
+        if best is None or tr.measured_sup > best[0].measured_sup:
+            best = (tr, interpolation_check(w, r, min(1.0, 0.5 * r)))
+        for a in ALPHA_CANDIDATES:
+            try:
+                m = exp_moment(u, a, N)
+            except RangeError:
+                m = math.inf
+            moments[a] = max(moments[a], m)
+    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2),
+                     lq_spacetime(f, 1.0 + N / 2.0), lq_spacetime(f, q), pair.scale,
+                     l1_check(pair.u, pair.g), best[0], best[1], moments)
+
+
+# ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
@@ -216,10 +275,7 @@ class SweepResult:
     reports: tuple         # BoundReport per row
     interpolation: tuple   # (lhs, rhs, passed) per row
     skipped: tuple         # (eps, reason) for solver failures
-
-
-def _moment_candidates(r: float):
-    return [2.0 ** -k for k in range(9) if 2.0 ** -k < r]
+    l1: tuple              # l1_check (lhs, rhs, passed) per row
 
 
 def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
@@ -229,96 +285,51 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
 
     The template's forcing is replaced by the family member at each eps;
     everything else (grid, coefficients, initial data, q) is shared.
-    alpha is chosen once for the whole sweep: the largest 2^-k below r
-    whose exponential moments stay within moment_cap * |Omega_T| on
-    every row and both signs.
+    Every eps passes :func:`check_bump` before the first solve.  alpha
+    is chosen once for the whole sweep: the largest 2^-k below r whose
+    exponential moments stay within moment_cap * |Omega_T| on every row
+    and both signs.
     """
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if not eps_values:
         raise ConfigurationError("empty sweep: no eps values supplied")
     grid = template.grid
-    N = grid.dim
     q = template.q
-    r = (1.0 + beta0) * q / (q - 1.0)
-    alpha_interp = min(1.0, 0.5 * r)
-    candidates = _moment_candidates(r)
-    measure = grid.spacetime_volume
-    data_free = not np.any(template.phi0.values)
-    sup0 = ess_sup(template.phi0)
+    for eps in eps_values:
+        check_bump(eps, (*family.center, family.t0), grid)
 
     def worker(eps):
         f = family.field(eps, grid)
-        spec = replace(template, f=f)
-        forced, drift = solve_split(spec, opts=opts)
-        if data_free:
-            phi_sup = ess_sup(forced.phi)
-        else:
-            phi_sup = float(np.max(np.abs(forced.phi.values + drift.phi.values)))
-        pair = normalize(forced.phi, f)
-        l1 = l1_check(pair.u, pair.g)
-        moments = {}
-        best = None  # (trace, interpolation triple)
-        for sign in (1.0, -1.0):
-            u_s = pair.u if sign > 0 else Field(grid, -pair.u.values, SPACETIME)
-            _, w = exp_change(u_s)
-            tr = trace(w, beta0, q, N, i_max)
-            if best is None or tr.measured_sup > best[0].measured_sup:
-                best = (tr, interpolation_check(w, r, alpha_interp))
-            for a in candidates:
-                try:
-                    m = exp_moment(u_s, a, N)
-                except RangeError:
-                    m = math.inf
-                moments[a] = max(moments.get(a, 0.0), m)
-        f_crit = lq_spacetime(f, 1.0 + N / 2.0)
-        f_q = lq_spacetime(f, q)
-        return {"eps": eps, "f_crit": f_crit, "f_q": f_q, "phi_sup": phi_sup,
-                "l1": l1, "moments": moments, "trace": best[0], "interp": best[1]}
+        forced, drift = solve_split(replace(template, f=f), opts=opts)
+        return diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max)
 
-    raw = []
+    done = []  # (eps, Diagnosis)
     skipped = []
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [(eps, pool.submit(worker, eps)) for eps in eps_values]
             for eps, fut in futures:
                 try:
-                    raw.append(fut.result())
+                    done.append((eps, fut.result()))
                 except SolverError as err:
                     skipped.append((eps, str(err)))
     else:
         for eps in eps_values:
             try:
-                raw.append(worker(eps))
+                done.append((eps, worker(eps)))
             except SolverError as err:
                 skipped.append((eps, str(err)))
 
-    alpha = None
-    for a in candidates:
-        if all(math.isfinite(item["moments"][a]) for item in raw) and \
-                all(item["moments"][a] <= moment_cap * measure for item in raw):
-            alpha = a
-            break
-    if alpha is None:
-        finite = [a for a in candidates
-                  if all(math.isfinite(item["moments"][a]) for item in raw)]
-        if not finite:
-            raise RangeError("every candidate alpha overflows on some sweep row")
-        alpha = finite[-1]
-
+    r = (1.0 + beta0) * q / (q - 1.0)
+    alpha = choose_alpha([d.moments for _, d in done], r, grid.spacetime_volume, moment_cap)
     rows = []
     reports = []
-    for item in raw:
-        log_term = math.log(item["f_q"] + 1.0)
-        denom = item["f_crit"] * (log_term + 1.0)
-        implied_c = (item["phi_sup"] - sup0) / denom if denom > 0 else 0.0
-        classical = item["phi_sup"] / item["f_q"] if item["f_q"] > 0 else 0.0
-        a0, r_val, final = exponents(beta0, q, N, alpha)
-        rows.append(SweepRow(item["eps"], item["f_crit"], item["f_q"],
-                             item["phi_sup"], implied_c, item["moments"][alpha],
-                             item["l1"][0], item["l1"][1]))
-        reports.append(BoundReport(item["phi_sup"], sup0, item["f_crit"],
-                                   item["f_q"], log_term, implied_c, classical,
-                                   beta0, a0, r_val, alpha, final))
+    for eps, d in done:
+        report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,
+                                q, grid.dim, beta0, alpha)
+        rows.append(SweepRow(eps, d.f_norm_crit, d.f_norm_q, d.phi_sup, report.implied_c,
+                             d.moments[alpha], d.l1[0], d.l1[1]))
+        reports.append(report)
 
     fit = None
     note = ""
@@ -330,10 +341,9 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
         except FitError as err:
             note = f"fit refused: {err}"
     return SweepResult(tuple(rows), fit, note, alpha,
-                       tuple(item["trace"] for item in raw),
-                       tuple(reports),
-                       tuple(item["interp"] for item in raw),
-                       tuple(skipped))
+                       tuple(d.trace for _, d in done), tuple(reports),
+                       tuple(d.interpolation for _, d in done), tuple(skipped),
+                       tuple(d.l1 for _, d in done))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ q approaches the critical value 1 + N/2 (where chi reaches 1 and the
 ladder stalls).
 
 Sign handling: the sup estimate is one-sided through the exponential,
-so drivers run the pipeline on u and on -u and keep the larger answer
-(see :func:`choose_alpha` and the sweep harness).
+so :func:`parabolab.experiments.diagnose` runs the pipeline on u and on
+-u and keeps the larger answer.
 """
 
 import math
@@ -26,6 +26,7 @@ from parabolab.reductions import pairwise_sum
 
 EXP_ARG_LIMIT = 700.0  # exp overflows near 709.8; leave headroom
 LADDER_CAP = 512.0
+ALPHA_CANDIDATES = tuple(2.0 ** -k for k in range(9))  # moment rates, largest first
 
 
 @dataclass(frozen=True)
@@ -230,60 +231,54 @@ def interpolation_check(w: Field, r: float, alpha: float):
     return lhs, rhs, bool(passed)
 
 
-def choose_alpha(u_fields, N: int, r: float, measure: float, cap: float = 10.0):
-    """Largest alpha in {2^-k, k = 0..8} below r whose exponential moments
-    stay <= cap * |Omega_T| on every supplied field.
+def choose_alpha(tables, r: float, measure: float, cap: float = 10.0) -> float:
+    """Largest alpha in ALPHA_CANDIDATES below r whose exponential moment
+    stays <= cap * |Omega_T| in every moment table.
 
+    Each table maps alpha to a moment, inf where the moment overflows.
     An executable stand-in for the qualitative "alpha sufficiently
-    small".  Falls back to the smallest candidate (moments
-    reported as-is) when none meets the cap.  Returns (alpha, moments).
+    small".  Falls back to the smallest alpha finite in every table when
+    none meets the cap; with no tables at all the largest candidate wins.
     """
-    candidates = [2.0 ** -k for k in range(9) if 2.0 ** -k < r]
+    candidates = [a for a in ALPHA_CANDIDATES if a < r]
     if not candidates:
         raise DomainError(f"no dyadic candidate below r = {r}")
     fallback = None
     for alpha in candidates:
-        try:
-            moments = tuple(exp_moment(u, alpha, N) for u in u_fields)
-        except RangeError:
-            continue
-        fallback = (alpha, moments)
-        if max(moments) <= cap * measure:
-            return alpha, moments
+        worst = max((table[alpha] for table in tables), default=0.0)
+        if worst <= cap * measure:
+            return alpha
+        if math.isfinite(worst):
+            fallback = alpha
     if fallback is None:
         raise RangeError("every candidate alpha overflows the exponential moment")
     return fallback
 
 
-def assemble_bound(phi: Field, phi0: Field, f: Field, q: float, N: int = None,
-                   beta0: float = 1.0, alpha: float = None) -> BoundReport:
+def assemble_bound(lhs: float, sup_phi0: float, f_norm_crit: float, f_norm_q: float,
+                   q: float, N: int, beta0: float = 1.0, alpha: float = None) -> BoundReport:
     """Evaluate both sides of the logarithmic sup-norm estimate.
 
+    The inputs are |phi|_inf, |phi0|_inf, |f|_{1+N/2} and |f|_q.
     implied_c = (|phi|_inf - |phi0|_inf) / (|f|_{1+N/2} (ln(|f|_q+1)+1));
     zero forcing reports implied_c = 0 and insists |phi|_inf stays within
-    tolerance of |phi0|_inf (anything else violates uniqueness).
+    tolerance of |phi0|_inf (anything else violates uniqueness).  alpha
+    defaults to min(1, r/2).
     """
-    if N is None:
-        N = phi.grid.dim
-    lhs = ess_sup(phi)
-    sup0 = ess_sup(phi0)
-    f_crit = lq_spacetime(f, 1.0 + N / 2.0)
-    f_q = lq_spacetime(f, q)
-    log_term = math.log(f_q + 1.0)
+    log_term = math.log(f_norm_q + 1.0)
     if alpha is None:
-        r_val = (1.0 + beta0) * q / (q - 1.0)
-        alpha = min(1.0, 0.5 * r_val)
+        alpha = min(1.0, 0.5 * (1.0 + beta0) * q / (q - 1.0))
     alpha0, r, final = exponents(beta0, q, N, alpha)
-    if f_q == 0.0:
-        if lhs > sup0 + 1e-8 * (1.0 + sup0):
+    if f_norm_q == 0.0:
+        if lhs > sup_phi0 + 1e-8 * (1.0 + sup_phi0):
             raise ConsistencyError(
-                f"zero forcing but |phi|_inf = {lhs:.6g} exceeds |phi0|_inf = {sup0:.6g}")
+                f"zero forcing but |phi|_inf = {lhs:.6g} exceeds |phi0|_inf = {sup_phi0:.6g}")
         implied_c = 0.0
         classical = 0.0
     else:
-        implied_c = (lhs - sup0) / (f_crit * (log_term + 1.0))
-        classical = lhs / f_q
-    return BoundReport(lhs, sup0, f_crit, f_q, log_term, implied_c, classical,
+        implied_c = (lhs - sup_phi0) / (f_norm_crit * (log_term + 1.0))
+        classical = lhs / f_norm_q
+    return BoundReport(lhs, sup_phi0, f_norm_crit, f_norm_q, log_term, implied_c, classical,
                        beta0, alpha0, r, alpha, final)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import DomainError, EstimationError, RangeError
 from parabolab.fields import SPACETIME, Field, Grid
-from parabolab.reductions import pairwise_sum, pairwise_dot
+from parabolab.reductions import pairwise_sum
 
 LOG_SPACE_THRESHOLD = 32.0
 

@@ -27,12 +27,3 @@ def pairwise_sum(values) -> float:
             folded = np.concatenate([folded, a[-1:]])
         a = folded
     return float(a[0])
-
-
-def pairwise_dot(x, y) -> float:
-    """Dot product via :func:`pairwise_sum` of the elementwise product."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dot length mismatch: {x.shape} vs {y.shape}")
-    return pairwise_sum(x * y)

@@ -1,6 +1,7 @@
 """Command-line entry points and exit-code contract."""
 
 import os
+import re
 
 import pytest
 
@@ -9,6 +10,41 @@ from parabolab.cli import run
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 DEMO = os.path.join(CONFIGS, "demo.cfg")
 SMALL = os.path.join(CONFIGS, "sweep_small.cfg")
+
+# What `diagnose --check` printed on the demo, and `sweep` on two eps of
+# sweep_small, before the CLI and the sweep shared one diagnostic
+# pipeline; the pipeline must keep printing the same numbers.
+DEMO_PRINTED = {
+    "sup |phi|": (0.521224271566,),
+    "sup |phi0|": (0.299277709001,),
+    "f_norm_crit": (3.36656827562,),
+    "f_norm_q": (5.0008575134,),
+    "log_term": (1.79190237792,),
+    "implied_c": (0.0236135220149,),
+    "classical_ratio": (0.104226979107,),
+    "beta0": (1.0,),
+    "alpha0": (1.5,),
+    "r": (2.66666666667,),
+    "alpha": (1.0,),
+    "final_exponent": (5.0,),
+    "scale": (3.36656827562,),
+    "l1 lhs/rhs": (0.0607556779984, 0.567760669343),
+    "interp lhs/rhs": (0.813669321882, 0.863395164055),
+    "chi": (1.5,),
+    "ladder rungs": (13.0, 345.990234375),
+    "extrapolated sup": (1.15516912468,),
+    "measured sup": (1.16116942759,),
+}
+SMALL_PRINTED_ROWS = [
+    (0.353553, 7.440097389, 19.4628453, 0.2558289842, 0.008556480739, 0.1484140231,
+     0.009386996204, 0.1778590957),
+    (0.25, 7.440024, 27.52463373, 0.274502474, 0.008480198054, 0.1470728344,
+     0.007093540867, 0.08893698691),
+]
+
+
+def _numbers(text):
+    return tuple(float(tok) for tok in re.findall(r"-?\d[\d.e+-]*", text))
 
 
 def test_ledger_prints_reference_row(capsys):
@@ -37,6 +73,14 @@ def test_diagnose_check_passes_on_the_demo(capsys):
     assert "check interpolation: PASS" in out
     assert "check ladder_monotone: PASS" in out
     assert "check data_contraction: PASS" in out
+    printed = {}
+    for line in out.splitlines():
+        if " = " in line:
+            name, value = line.split(" = ", 1)
+            printed[name.strip()] = _numbers(value)
+    assert printed.keys() == DEMO_PRINTED.keys()
+    for name, want in DEMO_PRINTED.items():
+        assert printed[name] == pytest.approx(want, rel=1e-9), name
 
 
 def test_diagnose_writes_trace_and_report(tmp_path):
@@ -53,6 +97,10 @@ def test_sweep_writes_all_artifacts(tmp_path, capsys):
         assert os.path.exists(os.path.join(tmp_path, name)), name
     header = open(os.path.join(tmp_path, "sweep.csv")).readline().strip()
     assert header == "eps,f_norm_crit,f_norm_q,phi_sup,implied_c,exp_moment,l1_lhs,l1_rhs"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rows: 2   alpha = 1"
+    for line, want in zip(lines[2:4], SMALL_PRINTED_ROWS):
+        assert _numbers(line) == pytest.approx(want, rel=1e-9)
 
 
 def test_missing_config_is_a_usage_error():

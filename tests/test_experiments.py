@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import parabolab.experiments as experiments
+from parabolab.config import load_config
 from parabolab.errors import ConfigurationError, FitError, ResolutionError
 from parabolab.experiments import (BumpFamily, SweepRow, bump, export,
                                    fit_log_law, parse_sweep_csv, profile_norm,
@@ -119,6 +121,23 @@ def test_run_sweep_rejects_an_empty_eps_list():
     fam = BumpFamily((0.375, 0.375), 0.13, 2.0)
     with pytest.raises(ConfigurationError):
         run_sweep(spec, fam, [])
+
+
+def test_run_sweep_rejects_an_unresolved_eps_before_any_solve(monkeypatch):
+    bundle = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                      "sweep_small.cfg"))
+    calls = []
+    real = experiments.solve_split
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_split", counting)
+    with pytest.raises(ResolutionError):
+        run_sweep(bundle.spec, bundle.sweep.family, (0.25, 0.125, 0.01),
+                  opts=bundle.solve_options)
+    assert len(calls) == 0
 
 
 def test_sweep_rows_round_trip_through_csv(tmp_path):

@@ -9,6 +9,7 @@ from parabolab.errors import ConfigurationError, EvaluationError
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample, sample_initial,
                               validate)
+from parabolab.solver import solve_ibvp
 
 
 def test_grid_geometry():
@@ -142,6 +143,26 @@ def test_validate_flags_cross_term_degeneracy():
     assert msgs and "0.4" in msgs[0]
     # the same matrix is fine against a weaker claimed constant
     assert validate(_spec(g, A=A, lam=0.4)).admissible
+
+
+def test_validate_catches_indefinite_a_between_probe_directions():
+    # every e_i and (e_i +- e_j)/sqrt2 form stays >= 0.1, yet the smallest
+    # eigenvalue is 5.05 - sqrt(4.95^2 + 1.1^2) = -0.0207
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    A = MatrixCoefficient(g, [10.0, 0.1], {(0, 1): 1.1})
+    report = validate(_spec(g, A=A, lam=0.1))
+    bad = [v for v in report.violations if v.hypothesis == "H1"]
+    assert len(bad) == 1
+    assert math.isclose(bad[0].value, 5.05 - math.hypot(4.95, 1.1), rel_tol=1e-12)
+    with pytest.raises(ConfigurationError):
+        solve_ibvp(_spec(g, A=A, lam=0.1))
+    # an array entry reports the sample where the eigenvalue is lowest
+    axx = np.full((4, 4), 10.0)
+    axx[2, 1] = 0.5
+    A = MatrixCoefficient(g, [axx, 1.0], {(0, 1): 0.6})
+    bad = validate(_spec(g, A=A, lam=0.2)).violations
+    assert len(bad) == 1 and bad[0].point == (0.625, 0.375)
+    assert math.isclose(bad[0].value, 0.1, rel_tol=1e-12)
 
 
 def test_validate_flags_negative_omega_with_location():

@@ -8,8 +8,8 @@ import pytest
 from parabolab.errors import (ConsistencyError, DomainError, RangeError)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
-from parabolab.moser import (assemble_bound, chi, choose_alpha, exp_change,
-                             exp_moment, exponents, interpolation_check,
+from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
+                             exp_change, exp_moment, exponents, interpolation_check,
                              l1_check, ladder, normalize, trace, trace_to_csv)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.solver import solve_split
@@ -170,30 +170,62 @@ def test_interpolation_check_constant_equality_and_spike():
     assert passed and lhs < rhs
 
 
+def _moment_table(u):
+    table = {}
+    for alpha in ALPHA_CANDIDATES:
+        try:
+            table[alpha] = exp_moment(u, alpha, 2)
+        except RangeError:
+            table[alpha] = math.inf
+    return table
+
+
 def test_choose_alpha_prefers_largest_admissible_power_of_two():
     g = _grid()
     u = _const(g, 0.05)
     measure = 0.5
-    alpha, moments = choose_alpha([u], 2, 8.0 / 3.0, measure)
+    table = _moment_table(u)
+    alpha = choose_alpha([table], 8.0 / 3.0, measure)
     assert alpha == 1.0   # 2^0 < r and the moment is tiny
-    assert moments[0] <= 10.0 * measure
+    assert table[alpha] <= 10.0 * measure
     # an enormous field forces the fallback down the dyadic scale
     big = _const(g, 150.0)
-    alpha2, _ = choose_alpha([big], 2, 8.0 / 3.0, measure)
+    alpha2 = choose_alpha([_moment_table(big)], 8.0 / 3.0, measure)
     assert alpha2 < 1.0 / 64.0
     with pytest.raises(RangeError):
-        choose_alpha([_const(g, 1e6)], 2, 8.0 / 3.0, measure)
+        choose_alpha([_moment_table(_const(g, 1e6))], 8.0 / 3.0, measure)
+
+
+def test_choose_alpha_without_tables_takes_the_largest_candidate():
+    # a sweep whose every row was skipped still reports alpha = 1
+    assert choose_alpha([], 8.0 / 3.0, 0.5) == 1.0
+    assert choose_alpha([], 0.75, 0.5) == 0.5
+    with pytest.raises(DomainError):
+        choose_alpha([], 2.0 ** -9, 0.5)
+
+
+def test_choose_alpha_skips_rates_that_overflow_in_any_table():
+    fine = {a: 0.1 for a in ALPHA_CANDIDATES}
+    # 1 and 1/2 overflow on the second table, 1/4 is finite but over the cap
+    steep = {**fine, 1.0: math.inf, 0.5: math.inf, 0.25: 7.0}
+    assert choose_alpha([fine, steep], 8.0 / 3.0, 0.5) == 0.125
+    # over the cap everywhere: fall back to the smallest rate finite in every table
+    over = {a: 100.0 for a in ALPHA_CANDIDATES}
+    assert choose_alpha([fine, {**over, 1.0: math.inf}], 8.0 / 3.0, 0.5) == 2.0 ** -8
+    # a rate that overflows only in the second table is never the fallback
+    last = {**over, 2.0 ** -8: math.inf}
+    assert choose_alpha([over, last], 8.0 / 3.0, 0.5) == 2.0 ** -7
 
 
 def test_assemble_bound_zero_forcing_paths():
     g = _grid()
     phi0 = _const(g, 1.0, TIMESLICE)
     decayed = _const(g, 0.8)
-    rep = assemble_bound(decayed, phi0, Field.zeros(g, SPACETIME), 4.0)
+    rep = assemble_bound(ess_sup(decayed), ess_sup(phi0), 0.0, 0.0, 4.0, 2)
     assert rep.implied_c == 0.0
     assert rep.f_norm_q == 0.0
     with pytest.raises(ConsistencyError):
-        assemble_bound(_const(g, 5.0), phi0, Field.zeros(g, SPACETIME), 4.0)
+        assemble_bound(ess_sup(_const(g, 5.0)), ess_sup(phi0), 0.0, 0.0, 4.0, 2)
 
 
 def test_assemble_bound_populates_exponents():
@@ -201,7 +233,8 @@ def test_assemble_bound_populates_exponents():
     rng = np.random.default_rng(6)
     phi = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
     f = _const(g, 2.0)
-    rep = assemble_bound(phi, Field.zeros(g, TIMESLICE), f, 4.0, beta0=1.0, alpha=1.0)
+    rep = assemble_bound(ess_sup(phi), 0.0, lq_spacetime(f, 2.0), lq_spacetime(f, 4.0),
+                         4.0, 2, beta0=1.0, alpha=1.0)
     assert rep.alpha0 == 1.5 and abs(rep.r - 8.0 / 3.0) < 1e-14
     assert rep.final_exponent == 5.0
     assert rep.lhs == ess_sup(phi)
