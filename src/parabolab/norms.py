@@ -21,6 +21,7 @@ from parabolab._cg import conjugate_gradient
 from parabolab.errors import DomainError, EstimationError, RangeError
 from parabolab.fields import SPACETIME, Field, Grid
 from parabolab.reductions import pairwise_sum
+from parabolab.solver import Stencil
 
 LOG_SPACE_THRESHOLD = 32.0
 
@@ -94,40 +95,9 @@ def sup_t_spatial_l1(field: Field) -> float:
 # spatial helpers for the embedding-constant estimator
 # ---------------------------------------------------------------------------
 
-def _sl(nd: int, axis: int, s) -> tuple:
-    idx = [slice(None)] * nd
-    idx[axis] = s
-    return tuple(idx)
-
-
-def _neg_laplacian(u: np.ndarray, hs) -> np.ndarray:
-    """Unit-coefficient -Laplacian with homogeneous Dirichlet ghost faces."""
-    out = np.zeros_like(u)
-    nd = u.ndim
-    for axis, h in enumerate(hs):
-        d = np.diff(u, axis=axis)
-        h2 = h * h
-        out[_sl(nd, axis, slice(1, -1))] += (d[_sl(nd, axis, slice(None, -1))]
-                                             - d[_sl(nd, axis, slice(1, None))]) / h2
-        out[_sl(nd, axis, 0)] += (2.0 * u[_sl(nd, axis, 0)] - d[_sl(nd, axis, 0)]) / h2
-        out[_sl(nd, axis, -1)] += (2.0 * u[_sl(nd, axis, -1)] + d[_sl(nd, axis, -1)]) / h2
-    return out
-
-
-def _gradient_energy(u: np.ndarray, hs, cellvol: float) -> float:
-    """Discrete Dirichlet energy matching the ghost-face Laplacian exactly.
-
-    Interior faces contribute (difference / h)^2, boundary faces the
-    half-cell value 2 u^2 / h^2; the total equals u^T (-Lap) u * cellvol.
-    """
-    total = 0.0
-    nd = u.ndim
-    for axis, h in enumerate(hs):
-        d = np.diff(u, axis=axis)
-        total += (pairwise_sum(d * d)
-                  + 2.0 * pairwise_sum(u[_sl(nd, axis, 0)] ** 2)
-                  + 2.0 * pairwise_sum(u[_sl(nd, axis, -1)] ** 2)) / (h * h)
-    return total * cellvol
+def _gradient_energy(u: np.ndarray, grid: Grid) -> float:
+    """Discrete Dirichlet energy <u, -Lap u> of the solver's stencil with A = I."""
+    return pairwise_sum(u * Stencil(grid, [1.0] * grid.dim).apply(u)) * grid.cell_volume
 
 
 def _spatial_lp(u: np.ndarray, p: float, cellvol: float) -> float:
@@ -153,7 +123,7 @@ def embedding_quotient(phi: np.ndarray, grid: Grid, s: float = 4.0) -> float:
     if phi.shape != grid.shape_space:
         raise DomainError(f"test function shape {phi.shape} does not match grid {grid.shape_space}")
     cellvol = grid.cell_volume
-    energy = _gradient_energy(phi, grid.h, cellvol)
+    energy = _gradient_energy(phi, grid)
     if energy <= 0.0:
         raise DomainError("test function has zero Dirichlet energy")
     if N >= 3:
@@ -193,7 +163,7 @@ def sobolev_constant_estimate(grid: Grid, N: int = None, s: float = 4.0,
     if N == 2 and not s > 2.0:
         raise DomainError(f"the two-dimensional embedding requires s > 2, got {s}")
     cellvol = grid.cell_volume
-    hs = grid.h
+    lap = Stencil(grid, [1.0] * N)
 
     mesh = grid.meshgrid()
     phi = np.ones(grid.shape_space)
@@ -214,27 +184,14 @@ def sobolev_constant_estimate(grid: Grid, N: int = None, s: float = 4.0,
     for _ in range(int(max_iters)):
         rhs = np.abs(phi) ** (p - 1.0) * np.sign(phi)
         if theta > 0.0:
-            energy = _gradient_energy(phi, hs, cellvol)
+            energy = _gradient_energy(phi, grid)
             mass = pairwise_sum(phi * phi) * cellvol
             shift = theta * energy / mass
         else:
             shift = 0.0
 
-        def apply_op(x, shift=shift):
-            out = _neg_laplacian(x, hs)
-            if shift:
-                out = out + shift * x
-            return out
-
-        diag = np.zeros(grid.shape_space)
-        for axis, h in enumerate(hs):
-            dk = np.full(grid.shape_space, 2.0 / (h * h))
-            dk[_sl(N, axis, 0)] = 3.0 / (h * h)
-            dk[_sl(N, axis, -1)] = 3.0 / (h * h)
-            diag += dk
-        diag += shift
-
-        psi, _, _ = conjugate_gradient(apply_op, rhs, diag, phi, cg_tol, cg_cap)
+        psi, _, _ = conjugate_gradient(lambda x, shift=shift: lap.apply(x) + shift * x, rhs,
+                                      lap.diagonal + shift, phi, cg_tol, cg_cap)
         psi = psi / _spatial_lp(psi, 2.0, cellvol)
         new_quotient = embedding_quotient(psi, grid, s)
         phi = psi

@@ -5,16 +5,10 @@
 
 on a cell-centered grid.  Each step solves (I + dt L) phi^{n+1} =
 phi^n + dt f^{n+1} where L discretizes -div(A grad .) + omega with
-coefficients frozen at the new time level (fully implicit).
-
-Diagonal diffusion uses two-point face fluxes: interior face
-coefficients are arithmetic means of the adjacent cells, boundary faces
-use the boundary cell's coefficient with the half-cell gradient
-2 phi / h toward the wall value 0.  Off-diagonal entries use ghost-cell
-central differences together with their exact adjoints, so the operator
-is symmetric by construction and conjugate gradients applies; the
-M-matrix (maximum-principle) structure is guaranteed only for diagonal
-A.  All linear algebra is matrix-free with diagonal preconditioning,
+coefficients frozen at the new time level (fully implicit).  L is the
+:class:`Stencil`, whose docstring states the discretisation; the
+embedding estimate in :mod:`parabolab.norms` uses the same operator with
+A = I.  All linear algebra is matrix-free with diagonal preconditioning,
 and reductions use a fixed-order pairwise fold, so repeated runs are
 bit-identical.
 """
@@ -88,83 +82,75 @@ def _central_even_adjoint(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
             - padded[_sl(nd, axis, slice(2, None))]) / (2.0 * h)
 
 
-class _ImplicitOperator:
-    """Matrix-free application of I + dt L at one time level."""
+class Stencil:
+    """L u = -div(A grad u) + omega u with homogeneous Dirichlet walls.
 
-    def __init__(self, spec: ProblemSpec, t_index: int):
-        grid = spec.grid
-        self.grid = grid
-        self.dt = grid.dt
-        self.nd = grid.dim
-        self.diag_coeffs = [spec.A.at_time(k, k, t_index) for k in range(self.nd)]
-        self.cross = []
-        for k in range(self.nd):
-            for j in range(k + 1, self.nd):
+    Diagonal diffusion uses two-point face fluxes.  An interior face
+    takes the mean of its two cells' a_kk; a wall face takes twice the
+    edge cell's a_kk, since the half-cell gradient 2 u / h points toward
+    the wall value 0.  Each axis keeps one face array, n + 1 long along
+    that axis and divided by h^2.  Scalar coefficients are broadcast
+    first, so a scalar and the same constant array give the same
+    operator bit for bit.
+
+    Off-diagonal entries a_kj use ghost-cell central differences together
+    with their exact adjoints, so L is symmetric by construction and
+    conjugate gradients applies; the M-matrix (maximum-principle)
+    structure is guaranteed only for diagonal A.
+
+    ``diagonal`` is omega plus the two face coefficients of each axis.
+    It is exact for the axis terms; the cross terms are left out, as they
+    reach the diagonal only on cells at the boundary of both their axes.
+    """
+
+    def __init__(self, grid: Grid, diag_coeffs, cross=(), omega=0.0):
+        shape = grid.shape_space
+        nd = grid.dim
+        self.h = grid.h
+        self.cross = tuple(cross)
+        self.omega = omega
+        self.faces = []
+        diagonal = np.full(shape, omega, dtype=np.float64)
+        for axis, (h, a) in enumerate(zip(self.h, diag_coeffs)):
+            a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape)
+            face = np.concatenate([2.0 * a[_sl(nd, axis, slice(0, 1))],
+                                   0.5 * (a[_sl(nd, axis, slice(None, -1))]
+                                          + a[_sl(nd, axis, slice(1, None))]),
+                                   2.0 * a[_sl(nd, axis, slice(-1, None))]], axis=axis) / (h * h)
+            diagonal += face[_sl(nd, axis, slice(None, -1))] + face[_sl(nd, axis, slice(1, None))]
+            self.faces.append(face)
+        self.diagonal = diagonal
+
+    @classmethod
+    def at(cls, spec: ProblemSpec, t_index: int) -> "Stencil":
+        """The operator with the coefficients of ``spec`` frozen at time level t_index."""
+        nd = spec.grid.dim
+        cross = []
+        for k in range(nd):
+            for j in range(k + 1, nd):
                 c = spec.A.at_time(k, j, t_index)
-                if np.isscalar(c) and c == 0.0:
-                    continue
-                self.cross.append((k, j, c))
-        self.omega = spec.omega_at(t_index)
-        self.diagonal = self._build_diagonal()
+                if not (np.isscalar(c) and c == 0.0):
+                    cross.append((k, j, c))
+        return cls(spec.grid, [spec.A.at_time(k, k, t_index) for k in range(nd)],
+                   cross, spec.omega_at(t_index))
 
-    def _build_diagonal(self) -> np.ndarray:
-        # Jacobi diagonal: exact for the axis terms, cross terms omitted
-        # (they only touch diagonal entries of doubly-boundary cells).
-        grid = self.grid
-        diag = np.ones(grid.shape_space)
-        nd = self.nd
-        for axis, (h, a) in enumerate(zip(grid.h, self.diag_coeffs)):
-            h2 = h * h
-            part = np.empty(grid.shape_space)
-            if np.isscalar(a):
-                part.fill(2.0 * a / h2)
-                part[_sl(nd, axis, 0)] = 3.0 * a / h2
-                part[_sl(nd, axis, -1)] = 3.0 * a / h2
-            else:
-                abar = 0.5 * (a[_sl(nd, axis, slice(None, -1))]
-                              + a[_sl(nd, axis, slice(1, None))])
-                part[_sl(nd, axis, slice(1, -1))] = (abar[_sl(nd, axis, slice(None, -1))]
-                                                     + abar[_sl(nd, axis, slice(1, None))]) / h2
-                part[_sl(nd, axis, 0)] = (2.0 * a[_sl(nd, axis, 0)] + abar[_sl(nd, axis, 0)]) / h2
-                part[_sl(nd, axis, -1)] = (2.0 * a[_sl(nd, axis, -1)] + abar[_sl(nd, axis, -1)]) / h2
-            diag += self.dt * part
-        diag += self.dt * self.omega
-        return diag
-
-    def apply_spatial(self, u: np.ndarray) -> np.ndarray:
-        """L u = -div(A grad u) + omega u with Dirichlet ghost faces."""
-        grid = self.grid
-        nd = self.nd
+    def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.omega * u
-        for axis, (h, a) in enumerate(zip(grid.h, self.diag_coeffs)):
-            grad = np.diff(u, axis=axis) / h
-            if np.isscalar(a):
-                face = a * grad
-                a_lo = a * u[_sl(nd, axis, slice(0, 1))]
-                a_hi = a * u[_sl(nd, axis, slice(-1, None))]
-            else:
-                face = 0.5 * (a[_sl(nd, axis, slice(None, -1))]
-                              + a[_sl(nd, axis, slice(1, None))]) * grad
-                a_lo = a[_sl(nd, axis, slice(0, 1))] * u[_sl(nd, axis, slice(0, 1))]
-                a_hi = a[_sl(nd, axis, slice(-1, None))] * u[_sl(nd, axis, slice(-1, None))]
-            # fluxes at the walls: half-cell gradient toward the value 0
-            flux_shape = list(u.shape)
-            flux_shape[axis] += 1
-            flux = np.empty(flux_shape)
-            flux[_sl(nd, axis, slice(1, -1))] = face
-            flux[_sl(nd, axis, 0)] = (2.0 / h) * a_lo[_sl(nd, axis, 0)]
-            flux[_sl(nd, axis, -1)] = (-2.0 / h) * a_hi[_sl(nd, axis, 0)]
-            out -= np.diff(flux, axis=axis) / h
+        for axis, face in enumerate(self.faces):
+            flux = face * np.diff(u, axis=axis, prepend=0.0, append=0.0)
+            out -= np.diff(flux, axis=axis)
         for k, j, c in self.cross:
-            hk, hj = grid.h[k], grid.h[j]
+            hk, hj = self.h[k], self.h[j]
             dku = _central_odd(u, k, hk)
             dju = _central_odd(u, j, hj)
             out += _central_even_adjoint(c * dju, k, hk)
             out += _central_even_adjoint(c * dku, j, hj)
         return out
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return u + self.dt * self.apply_spatial(u)
+
+def _backward_euler(L: Stencil, dt: float):
+    """Operator and Jacobi diagonal of the step system (I + dt L) x = rhs."""
+    return (lambda u: u + dt * L.apply(u)), 1.0 + dt * L.diagonal
 
 
 def _coefficients_static(spec: ProblemSpec) -> bool:
@@ -204,9 +190,9 @@ def step(state: Field, spec: ProblemSpec, grid: Grid = None, t_index: int = 0,
     if not 0 <= t_index < spec.grid.nt:
         raise ConfigurationError(f"t_index must lie in [0, nt), got {t_index}")
     opts = opts or SolveOptions()
-    op = _ImplicitOperator(spec, t_index + 1)
+    apply_op, diag = _backward_euler(Stencil.at(spec, t_index + 1), spec.grid.dt)
     rhs = state.values + spec.grid.dt * spec.f.values[t_index + 1]
-    x, _, _ = conjugate_gradient(op.apply, rhs, op.diagonal, state.values,
+    x, _, _ = conjugate_gradient(apply_op, rhs, diag, state.values,
                                  opts.tol, opts.iteration_cap(spec.grid))
     return Field(spec.grid, x, TIMESLICE)
 
@@ -221,17 +207,16 @@ def solve_ibvp(spec: ProblemSpec, grid: Grid = None, opts: SolveOptions = None) 
     phi = np.empty(g.shape_spacetime)
     phi[0] = spec.phi0.values
     static = _coefficients_static(spec)
-    op = _ImplicitOperator(spec, 1) if static else None
     residuals = []
     iterations = []
     fvals = spec.f.values
     dt = g.dt
     for n in range(g.nt):
-        if not static:
-            op = _ImplicitOperator(spec, n + 1)
+        if n == 0 or not static:
+            apply_op, diag = _backward_euler(Stencil.at(spec, n + 1), dt)
         rhs = phi[n] + dt * fvals[n + 1]
         try:
-            x, rel, iters = conjugate_gradient(op.apply, rhs, op.diagonal, phi[n],
+            x, rel, iters = conjugate_gradient(apply_op, rhs, diag, phi[n],
                                                opts.tol, cap)
         except SolverError as err:
             raise SolverError(f"step {n + 1}: {err}", residual=err.residual,

@@ -9,7 +9,7 @@ import pytest
 from parabolab.errors import ConfigurationError
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample_initial)
-from parabolab.solver import (SolveOptions, export_solution, load_solution,
+from parabolab.solver import (SolveOptions, Stencil, export_solution, load_solution,
                               solve_ibvp, solve_split, step)
 
 
@@ -120,6 +120,54 @@ def test_cross_terms_keep_solver_symmetric():
     sol = solve_ibvp(spec)
     assert np.all(np.isfinite(sol.phi.values))
     assert max(sol.residuals) < 1e-9
+    # <u, L v> = <L u, v> with a varying axx, a varying cross term and a varying omega
+    axx = 1.0 + 0.5 * rng.random(g.shape_space)
+    axy = 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)
+    omega = Field(g, rng.random(g.shape_space), TIMESLICE)
+    A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): axy})
+    L = Stencil.at(ProblemSpec(g, A, omega, f, Field.zeros(g, TIMESLICE)), 1)
+    u, v = rng.normal(size=(2, *g.shape_space))
+    assert math.isclose(np.sum(u * L.apply(v)), np.sum(L.apply(u) * v), rel_tol=1e-12)
+
+
+def _unit_responses(L, shape):
+    """(L e_i)_i for every unit vector e_i."""
+    out = np.empty(shape)
+    for i in np.ndindex(shape):
+        e = np.zeros(shape)
+        e[i] = 1.0
+        out[i] = L.apply(e)[i]
+    return out
+
+
+@pytest.mark.parametrize("box, nx", [([(0.0, 1.0)], [7]),
+                                     ([(0.0, 1.0), (0.0, 0.75)], [5, 6]),
+                                     ([(0.0, 1.0), (0.0, 0.75), (0.0, 2.0)], [4, 5, 4])])
+def test_stencil_diagonal_is_exact(box, nx):
+    rng = np.random.default_rng(len(nx))
+    g = make_grid(box, nx, 1.0, 2)
+    shape = g.shape_space
+    idx = np.indices(shape)
+    on_both = np.all([(idx[k] == 0) | (idx[k] == n - 1) for k, n in enumerate(shape[:2])], axis=0)
+    spatial = 0.5 + rng.random(shape)
+    for a in (2.0, spatial, np.full(shape, 2.0)):
+        coeffs = [a * (k + 1) for k in range(g.dim)]
+        for omega in (0.0, 1.5, rng.random(shape)):
+            L = Stencil(g, coeffs, omega=omega)
+            assert np.array_equal(L.diagonal, _unit_responses(L, shape))
+            if g.dim > 1:
+                # a cross term reaches the diagonal only on cells at the
+                # boundary of both its axes, where the Jacobi diagonal omits it
+                Lx = Stencil(g, coeffs, [(0, 1, 0.2 * spatial)], omega)
+                differs = Lx.diagonal != _unit_responses(Lx, shape)
+                assert differs.any()
+                assert not np.any(differs & ~on_both)
+    # a scalar coefficient and the same constant array give the same operator
+    u = rng.normal(size=shape)
+    scalar = Stencil(g, [2.0] * g.dim, omega=1.5)
+    array = Stencil(g, [np.full(shape, 2.0)] * g.dim, omega=1.5)
+    assert np.array_equal(scalar.apply(u), array.apply(u))
+    assert np.array_equal(scalar.diagonal, array.diagonal)
 
 
 def test_time_dependent_omega_matches_manual_stepping():
