@@ -2,8 +2,9 @@
 
 Used for the symmetric positive definite systems produced by the implicit
 time stepper and by the embedding-constant estimator.  All inner products
-go through the deterministic pairwise reduction, so solves are
-bit-reproducible.
+go through :func:`parabolab.reductions.pairwise_sum`, whose order depends
+only on the vector length, so solves are bit-reproducible on one numpy
+build.
 """
 
 import math
@@ -23,35 +24,47 @@ def conjugate_gradient(apply_op, b, diag, x0, tol, max_iters):
     iterations)``.  Raises :class:`SolverError` carrying the last relative
     residual if ``max_iters`` is exhausted, or if the operator reveals a
     non-positive curvature direction (not SPD).
+
+    ``b``, ``diag`` and ``x0`` are left unchanged, and so is every array
+    ``apply_op`` returns; the iterates are updated in place.
     """
     b = np.asarray(b, dtype=np.float64)
-    bnorm = math.sqrt(pairwise_sum(b * b))
+    work = b * b
+    bnorm = math.sqrt(pairwise_sum(work))
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = np.array(x0, dtype=np.float64, copy=True)
     r = b - apply_op(x)
-    rel = math.sqrt(pairwise_sum(r * r)) / bnorm
+    np.multiply(r, r, out=work)
+    rel = math.sqrt(pairwise_sum(work)) / bnorm
     if rel <= tol:
         return x, rel, 0
     z = r / diag
     p = z.copy()
-    rz = pairwise_sum(r * z)
+    np.multiply(r, z, out=work)
+    rz = pairwise_sum(work)
     for iteration in range(1, int(max_iters) + 1):
         Ap = apply_op(p)
-        pAp = pairwise_sum(p * Ap)
+        np.multiply(p, Ap, out=work)
+        pAp = pairwise_sum(work)
         if pAp <= 0.0:
             raise SolverError(
                 f"operator is not positive definite along a search direction (p^T A p = {pAp:.3e})",
                 residual=rel)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rel = math.sqrt(pairwise_sum(r * r)) / bnorm
+        np.multiply(alpha, p, out=work)
+        x += work
+        np.multiply(alpha, Ap, out=work)
+        r -= work
+        np.multiply(r, r, out=work)
+        rel = math.sqrt(pairwise_sum(work)) / bnorm
         if rel <= tol:
             return x, rel, iteration
-        z = r / diag
-        rz_next = pairwise_sum(r * z)
-        p = z + (rz_next / rz) * p
+        np.divide(r, diag, out=z)
+        np.multiply(r, z, out=work)
+        rz_next = pairwise_sum(work)
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise SolverError(
         f"conjugate gradients stalled at relative residual {rel:.3e} "

@@ -6,11 +6,12 @@ rule the implicit stepper integrates exactly for piecewise-constant
 integrands: the initial slice is parabolic-boundary data and is excluded
 from integral norms, while sup-type functionals run over every sample.
 
-All reductions use the fixed-order pairwise fold from
-:mod:`parabolab.reductions`, so norms are bit-reproducible regardless of
-thread count.  Exponents p >= 32 are evaluated in log space (a shifted
-log-sum-exp of p * log|v|) to dodge overflow; smaller exponents use
-direct powers and raise :class:`RangeError` if they overflow.
+All reductions go through :func:`parabolab.reductions.pairwise_sum`,
+whose order depends only on the element count, so norms are
+bit-reproducible on one numpy build regardless of thread count.
+Exponents p >= 32 are evaluated in log space (a shifted log-sum-exp of
+p * log|v|) to dodge overflow; smaller exponents use direct powers and
+raise :class:`RangeError` if they overflow.
 """
 
 import math

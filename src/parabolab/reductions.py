@@ -1,29 +1,24 @@
 """Deterministic floating-point reductions.
 
 Every quadrature, dot product, and residual norm in the package funnels
-through :func:`pairwise_sum`, a fixed-order binary fan-in over adjacent
-pairs.  The fold order depends only on the array length, never on thread
-count or BLAS backend, so repeated runs produce bit-identical results.
-The error growth is the usual O(log n) of pairwise summation.
+through :func:`pairwise_sum`.  It is numpy's blocked pairwise summation
+(``np.add.reduce``) over the input as a contiguous float64 array, so on
+one numpy build the summation order depends only on the element count:
+not on thread count, BLAS backend, the input's strides, or its alignment
+in memory.  Repeated runs are therefore bit-identical on one build;
+another numpy build or CPU may differ in the last bits.  The error grows
+as O(eps log n), as for any pairwise summation.
 """
 
 import numpy as np
 
 
 def pairwise_sum(values) -> float:
-    """Sum an array with a fixed-order pairwise (binary tree) reduction.
+    """Sum an array in numpy's fixed pairwise order; input order is C order.
 
-    Adjacent elements are folded level by level; an odd trailing element
-    is carried to the next level unchanged.  Input order is the flattened
-    C order of ``values``.
+    numpy sums blocks of up to 128 elements through 8 interleaved
+    accumulators and combines the blocks pairwise, so the rounding error
+    stays within (16 + ceil(log2 n)) * 2^-52 * sum |values|.  An empty
+    input sums to 0.0.
     """
-    a = np.asarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        n2 = (a.size // 2) * 2
-        folded = a[0:n2:2] + a[1:n2:2]
-        if a.size % 2:
-            folded = np.concatenate([folded, a[-1:]])
-        a = folded
-    return float(a[0])
+    return float(np.add.reduce(np.ascontiguousarray(values, dtype=np.float64).ravel()))

@@ -9,8 +9,8 @@ coefficients frozen at the new time level (fully implicit).  L is the
 :class:`Stencil`, whose docstring states the discretisation; the
 embedding estimate in :mod:`parabolab.norms` uses the same operator with
 A = I.  All linear algebra is matrix-free with diagonal preconditioning,
-and reductions use a fixed-order pairwise fold, so repeated runs are
-bit-identical.
+and every reduction goes through :func:`parabolab.reductions.pairwise_sum`,
+so repeated runs on one numpy build are bit-identical.
 """
 
 from dataclasses import dataclass, replace
@@ -56,30 +56,10 @@ class Solution:
         return int(sum(self.iterations))
 
 
-def _sl(nd: int, axis: int, s) -> tuple:
-    idx = [slice(None)] * nd
+def _sl(nd: int, axis: int, s, other=slice(None)) -> tuple:
+    idx = [other] * nd
     idx[axis] = s
     return tuple(idx)
-
-
-def _central_odd(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central difference with odd ghosts (ghost = -edge cell, wall value 0)."""
-    nd = u.ndim
-    first = u[_sl(nd, axis, slice(0, 1))]
-    last = u[_sl(nd, axis, slice(-1, None))]
-    padded = np.concatenate([-first, u, -last], axis=axis)
-    return (padded[_sl(nd, axis, slice(2, None))]
-            - padded[_sl(nd, axis, slice(None, -2))]) / (2.0 * h)
-
-
-def _central_even_adjoint(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Exact transpose of :func:`_central_odd` (even ghosts, reversed sign)."""
-    nd = psi.ndim
-    first = psi[_sl(nd, axis, slice(0, 1))]
-    last = psi[_sl(nd, axis, slice(-1, None))]
-    padded = np.concatenate([first, psi, last], axis=axis)
-    return (padded[_sl(nd, axis, slice(None, -2))]
-            - padded[_sl(nd, axis, slice(2, None))]) / (2.0 * h)
 
 
 class Stencil:
@@ -96,11 +76,17 @@ class Stencil:
     Off-diagonal entries a_kj use ghost-cell central differences together
     with their exact adjoints, so L is symmetric by construction and
     conjugate gradients applies; the M-matrix (maximum-principle)
-    structure is guaranteed only for diagonal A.
+    structure is guaranteed only for diagonal A.  The central difference
+    reads odd ghosts (ghost = -edge cell, wall value 0), and its
+    transpose reads even ghosts with the sign reversed.
 
     ``diagonal`` is omega plus the two face coefficients of each axis.
     It is exact for the axis terms; the cross terms are left out, as they
     reach the diagonal only on cells at the boundary of both their axes.
+
+    :meth:`apply` works in scratch arrays fixed at construction, so one
+    instance must not be applied from two threads at once; every solve
+    builds its own.
     """
 
     def __init__(self, grid: Grid, diag_coeffs, cross=(), omega=0.0):
@@ -120,6 +106,16 @@ class Stencil:
             diagonal += face[_sl(nd, axis, slice(None, -1))] + face[_sl(nd, axis, slice(1, None))]
             self.faces.append(face)
         self.diagonal = diagonal
+        # scratch of apply: u inside a zero wall on every side, per-axis
+        # scratch, and the central difference along each axis a cross
+        # term couples
+        self._walled = np.zeros(tuple(n + 2 for n in shape))
+        self._inner = (slice(1, -1),) * nd
+        self._axes = [_AxisScratch(axis, h, face)
+                      for axis, (h, face) in enumerate(zip(self.h, self.faces))]
+        self._term = np.empty(shape)
+        self._psi = np.empty(shape)
+        self._grads = {axis: np.empty(shape) for k, j, _ in self.cross for axis in (k, j)}
 
     @classmethod
     def at(cls, spec: ProblemSpec, t_index: int) -> "Stencil":
@@ -135,22 +131,78 @@ class Stencil:
                    cross, spec.omega_at(t_index))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """L u, as a new array that the caller owns."""
+        # Every ufunc below writes to a contiguous array: numpy 2.4 with
+        # AVX-512 stores wrong values for np.negative from one strided
+        # view into another.
         out = self.omega * u
-        for axis, face in enumerate(self.faces):
-            flux = face * np.diff(u, axis=axis, prepend=0.0, append=0.0)
-            out -= np.diff(flux, axis=axis)
+        term = self._term
+        walled = self._walled
+        walled[self._inner] = u
+        for ax in self._axes:
+            np.subtract(walled[ax.wall_hi], walled[ax.wall_lo], out=ax.flux)
+            ax.flux *= ax.face
+            np.subtract(ax.flux[ax.hi], ax.flux[ax.lo], out=term)
+            out -= term
+        for axis, grad in self._grads.items():
+            ax = self._axes[axis]
+            ax.ghost(u, -u[ax.first], -u[ax.last])
+            np.subtract(ax.ghosted[ax.hi2], ax.ghosted[ax.lo2], out=grad)
+            grad /= ax.width
         for k, j, c in self.cross:
-            hk, hj = self.h[k], self.h[j]
-            dku = _central_odd(u, k, hk)
-            dju = _central_odd(u, j, hj)
-            out += _central_even_adjoint(c * dju, k, hk)
-            out += _central_even_adjoint(c * dku, j, hj)
+            self._add_adjoint(out, c, self._grads[j], self._axes[k])
+            self._add_adjoint(out, c, self._grads[k], self._axes[j])
         return out
+
+    def _add_adjoint(self, out, c, grad, ax):
+        """out += the transpose of ax's central difference, applied to c * grad."""
+        psi, term = self._psi, self._term
+        np.multiply(c, grad, out=psi)
+        ax.ghost(psi, psi[ax.first], psi[ax.last])
+        np.subtract(ax.ghosted[ax.lo2], ax.ghosted[ax.hi2], out=term)
+        term /= ax.width
+        out += term
+
+
+class _AxisScratch:
+    """The slices and scratch arrays of one axis of a :class:`Stencil`."""
+
+    def __init__(self, axis: int, h: float, face: np.ndarray):
+        nd = face.ndim
+        self.face = face
+        self.flux = np.empty(face.shape)
+        self.width = 2.0 * h
+        # differences along the axis of the zero-walled u, inside the
+        # wall on every other axis
+        self.wall_hi = _sl(nd, axis, slice(1, None), slice(1, -1))
+        self.wall_lo = _sl(nd, axis, slice(None, -1), slice(1, -1))
+        self.hi = _sl(nd, axis, slice(1, None))
+        self.lo = _sl(nd, axis, slice(None, -1))
+        # u with one ghost cell at each end of the axis
+        shape = list(face.shape)
+        shape[axis] += 1
+        self.ghosted = np.empty(shape)
+        self.inner = _sl(nd, axis, slice(1, -1))
+        self.first = _sl(nd, axis, slice(0, 1))
+        self.last = _sl(nd, axis, slice(-1, None))
+        self.hi2 = _sl(nd, axis, slice(2, None))
+        self.lo2 = _sl(nd, axis, slice(None, -2))
+
+    def ghost(self, values, first, last):
+        """Fill ``ghosted`` with values and the given ghost cells."""
+        self.ghosted[self.inner] = values
+        self.ghosted[self.first] = first
+        self.ghosted[self.last] = last
 
 
 def _backward_euler(L: Stencil, dt: float):
     """Operator and Jacobi diagonal of the step system (I + dt L) x = rhs."""
-    return (lambda u: u + dt * L.apply(u)), 1.0 + dt * L.diagonal
+    def apply_op(u):
+        y = L.apply(u)
+        y *= dt
+        y += u
+        return y
+    return apply_op, 1.0 + dt * L.diagonal
 
 
 def _coefficients_static(spec: ProblemSpec) -> bool:

@@ -6,11 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from parabolab.errors import ConfigurationError
+from parabolab._cg import conjugate_gradient
+from parabolab.errors import ConfigurationError, SolverError
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample_initial)
-from parabolab.solver import (SolveOptions, Stencil, export_solution, load_solution,
-                              solve_ibvp, solve_split, step)
+from parabolab.reductions import pairwise_sum
+from parabolab.solver import (SolveOptions, Stencil, _backward_euler, export_solution,
+                              load_solution, solve_ibvp, solve_split, step)
 
 
 def _heat_spec(g, f=None, phi0=None, omega=0.0, diag=None):
@@ -168,6 +170,140 @@ def test_stencil_diagonal_is_exact(box, nx):
     array = Stencil(g, [np.full(shape, 2.0)] * g.dim, omega=1.5)
     assert np.array_equal(scalar.apply(u), array.apply(u))
     assert np.array_equal(scalar.diagonal, array.diagonal)
+
+
+def _sl(nd, axis, s):
+    idx = [slice(None)] * nd
+    idx[axis] = s
+    return tuple(idx)
+
+
+def _reference_apply(L, u):
+    """L u written with np.diff and concatenated ghost cells."""
+    def central_odd(v, axis, h):
+        first, last = v[_sl(v.ndim, axis, slice(0, 1))], v[_sl(v.ndim, axis, slice(-1, None))]
+        padded = np.concatenate([-first, v, -last], axis=axis)
+        return (padded[_sl(v.ndim, axis, slice(2, None))]
+                - padded[_sl(v.ndim, axis, slice(None, -2))]) / (2.0 * h)
+
+    def central_even_adjoint(psi, axis, h):
+        first, last = psi[_sl(psi.ndim, axis, slice(0, 1))], psi[_sl(psi.ndim, axis, slice(-1, None))]
+        padded = np.concatenate([first, psi, last], axis=axis)
+        return (padded[_sl(psi.ndim, axis, slice(None, -2))]
+                - padded[_sl(psi.ndim, axis, slice(2, None))]) / (2.0 * h)
+
+    out = L.omega * u
+    for axis, face in enumerate(L.faces):
+        out -= np.diff(face * np.diff(u, axis=axis, prepend=0.0, append=0.0), axis=axis)
+    for k, j, c in L.cross:
+        dku, dju = central_odd(u, k, L.h[k]), central_odd(u, j, L.h[j])
+        out += central_even_adjoint(c * dju, k, L.h[k])
+        out += central_even_adjoint(c * dku, j, L.h[j])
+    return out
+
+
+def _random_stencil_args(rng, nx):
+    g = make_grid([(0.0, rng.uniform(0.5, 2.0)) for _ in nx], nx, 1.0, 2)
+    shape = g.shape_space
+
+    def coefficient(low, high):
+        return rng.uniform(low, high) if rng.random() < 0.5 else rng.uniform(low, high, shape)
+
+    cross = [(k, j, coefficient(-0.3, 0.3)) for k in range(g.dim) for j in range(k + 1, g.dim)
+             if rng.random() < 0.7]
+    return g, [coefficient(0.5, 2.0) for _ in nx], cross, coefficient(0.0, 1.0)
+
+
+def test_stencil_apply_matches_the_diff_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    cases = [_random_stencil_args(rng, list(rng.integers(4, 30 if d < 3 else 10, d)))
+             for d in (1, 2, 3) for _ in range(12)]
+    # the 6x8x8 grid with an array a_22, on which wall ghosts written by
+    # np.negative from one strided view into another came out wrong
+    g = make_grid([(0.0, 1.0)] * 3, [6, 8, 8], 1.0, 2)
+    cases.append((g, [1.0, 1.3, 0.5 + rng.random(g.shape_space)], [(1, 2, 0.2)], 0.0))
+    for g, coeffs, cross, omega in cases:
+        L = Stencil(g, coeffs, cross, omega)
+        u, v = rng.normal(size=(2, *g.shape_space))
+        Lu, Lv = L.apply(u), L.apply(v)
+        assert np.array_equal(Lu, _reference_apply(L, u))
+        assert np.array_equal(Lv, _reference_apply(L, v))
+        # the scratch a first apply leaves behind does not reach the second
+        assert np.array_equal(Lv, Stencil(g, coeffs, cross, omega).apply(v))
+        # each result belongs to the caller: changing it leaves the next apply alone
+        Lu[...] = np.nan
+        assert np.array_equal(L.apply(v), Lv)
+
+
+def _textbook_cg(apply_op, b, diag, x0, tol, max_iters):
+    """Jacobi-preconditioned CG with fresh arrays at every update."""
+    bnorm = math.sqrt(pairwise_sum(b * b))
+    x = x0.copy()
+    r = b - apply_op(x)
+    rel = math.sqrt(pairwise_sum(r * r)) / bnorm
+    if rel <= tol:
+        return x, rel, 0
+    z = r / diag
+    p = z.copy()
+    rz = pairwise_sum(r * z)
+    for iteration in range(1, max_iters + 1):
+        Ap = apply_op(p)
+        alpha = rz / pairwise_sum(p * Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rel = math.sqrt(pairwise_sum(r * r)) / bnorm
+        if rel <= tol:
+            return x, rel, iteration
+        z = r / diag
+        rz_next = pairwise_sum(r * z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x, rel, max_iters
+
+
+def _cross_term_step_system():
+    rng = np.random.default_rng(5)
+    g = make_grid([(0.0, 1.0), (0.0, 0.8)], [14, 11], 0.2, 4)
+    axx = 1.0 + 0.5 * rng.random(g.shape_space)
+    A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)})
+    omega = Field(g, rng.random(g.shape_space), TIMESLICE)
+    spec = ProblemSpec(g, A, omega, Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE))
+    apply_op, diag = _backward_euler(Stencil.at(spec, 1), g.dt)
+    history = rng.normal(size=(3, *g.shape_space))
+    b = history[1] + g.dt * rng.normal(size=g.shape_space)
+    return apply_op, b, diag, history
+
+
+def test_cg_matches_textbook_cg_and_leaves_its_inputs_alone():
+    apply_op, b, diag, history = _cross_term_step_system()
+    x0 = history[1]
+    saved = [a.copy() for a in (b, diag, history)]
+    returned = []
+
+    def recording_op(u):
+        y = apply_op(u)
+        returned.append((y, y.copy()))
+        return y
+
+    x, rel, iters = conjugate_gradient(recording_op, b, diag, x0, 1e-10, 500)
+    want_x, want_rel, want_iters = _textbook_cg(apply_op, b, diag, x0, 1e-10, 500)
+    assert iters == want_iters > 5
+    assert rel == want_rel <= 1e-10
+    assert np.array_equal(x, want_x)
+    for before, after in zip(saved, (b, diag, history)):
+        assert np.array_equal(before, after)
+    assert all(np.array_equal(y, copy) for y, copy in returned)
+
+
+def test_cg_failures_carry_their_residuals():
+    apply_op, b, diag, history = _cross_term_step_system()
+    with pytest.raises(SolverError, match="not positive definite") as err:
+        conjugate_gradient(lambda u: -u, b, diag, np.zeros_like(b), 1e-10, 50)
+    assert err.value.residual == 1.0
+    _, stalled_rel, _ = _textbook_cg(apply_op, b, diag, history[0], 1e-10, 3)
+    with pytest.raises(SolverError, match="stalled") as err:
+        conjugate_gradient(apply_op, b, diag, history[0], 1e-10, 3)
+    assert err.value.residual == stalled_rel > 1e-10
 
 
 def test_time_dependent_omega_matches_manual_stepping():
