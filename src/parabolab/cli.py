@@ -9,31 +9,25 @@ print with 12 significant digits so output is golden-file comparable.
 """
 
 import argparse
-import math
 import os
 import sys
-
-import numpy as np
 
 from parabolab.config import load_config
 from parabolab.constants import build_ledger, ledger_to_text
 from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError,
                               EstimationError, EvaluationError, FitError,
                               RangeError, ResolutionError, SolverError)
-from parabolab.experiments import _sweep_text, diagnose, export, run_sweep
-from parabolab.fields import (TIMESLICE, Field, MatrixCoefficient, ProblemSpec, make_grid,
-                              sample, sample_initial)
+from parabolab.experiments import (Check, _sweep_text, convergence_orders, diagnose,
+                                   diagnosis_checks, export, run_sweep, sweep_checks)
 from parabolab.moser import assemble_bound, bound_to_text, trace_to_csv
 from parabolab.norms import ess_sup
-from parabolab.solver import SolveOptions, export_solution, solve_ibvp, solve_split
+from parabolab.solver import export_solution, solve_ibvp, solve_split
 
 
 def _print_checks(checks) -> int:
-    failed = False
-    for name, passed in checks:
-        print(f"check {name}: {'PASS' if passed else 'FAIL'}")
-        failed = failed or not passed
-    return 3 if failed else 0
+    for check in checks:
+        print(f"check {check.name}: {'PASS' if check.passed else 'FAIL'}")
+    return 0 if all(check.passed for check in checks) else 3
 
 
 def _ensure_out(out: str) -> str:
@@ -55,10 +49,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _ladder_monotone(tr) -> bool:
-    return all(a.norm <= b.norm * (1 + 1e-12) for a, b in zip(tr.ladder, tr.ladder[1:]))
-
-
 def _cmd_diagnose(args) -> int:
     bundle = load_config(args.config)
     spec = bundle.spec
@@ -69,8 +59,8 @@ def _cmd_diagnose(args) -> int:
     d = diagnose(forced.phi, drift.phi, spec.phi0, spec.f, spec.q, beta0, i_max)
     report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,
                             spec.q, spec.grid.dim, beta0)
-    l1_lhs, l1_rhs, l1_ok = d.l1
-    int_lhs, int_rhs, int_ok = d.interpolation
+    l1_lhs, l1_rhs, _ = d.l1
+    int_lhs, int_rhs, _ = d.interpolation
     tr = d.trace
 
     print(bound_to_text(report), end="")
@@ -89,12 +79,9 @@ def _cmd_diagnose(args) -> int:
             fh.write(bound_to_text(report))
         print(f"wrote {out}/trace.csv, {out}/report.txt")
     if args.check:
-        return _print_checks([
-            ("l1", l1_ok),
-            ("interpolation", int_ok),
-            ("ladder_monotone", _ladder_monotone(tr)),
-            ("data_contraction", d.drift_sup <= d.sup_phi0 + 1e-12),
-        ])
+        contraction = d.drift_sup - d.sup_phi0
+        return _print_checks(diagnosis_checks([d]) + [
+            Check("data_contraction", contraction, contraction <= 1e-12)])
     return 0
 
 
@@ -125,10 +112,10 @@ def _cmd_sweep(args) -> int:
     out = _ensure_out(args.out or ".")
     export(result, os.path.join(out, "sweep.csv"), "csv")
     export(result, os.path.join(out, "sweep.svg"), "svg-plot")
-    if result.traces:
+    if result.diagnoses:
         # trace of the smallest eps: the most concentrated forcing
         with open(os.path.join(out, "trace.csv"), "w") as fh:
-            fh.write(trace_to_csv(result.traces[-1]))
+            fh.write(trace_to_csv(result.diagnoses[-1].trace))
     grid = bundle.spec.grid
     ledger = build_ledger(grid.dim, bundle.spec.q, settings.beta0, result.alpha,
                           lam=bundle.spec.lam, measure=grid.volume, T=grid.T)
@@ -137,77 +124,23 @@ def _cmd_sweep(args) -> int:
     print(_sweep_text(result), end="")
     print(f"wrote sweep.csv, sweep.svg, trace.csv, ledger.txt to {out}")
     if args.check:
-        return _print_checks(_sweep_checks(result))
+        return _print_checks(sweep_checks(result))
     return 0
 
 
-def _sweep_checks(result):
-    rows = result.rows
-    fit_ok = result.fit is not None and result.fit.r_squared >= 0.9
-    ratios = [r.phi_sup / r.f_norm_q for r in rows if r.f_norm_q > 0]
-    sublinear_ok = len(ratios) == len(rows) and \
-        all(ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1))
-    cs = [r.implied_c for r in rows]
-    c_ok = bool(cs) and min(cs) > 0 and max(cs) / min(cs) < 3.0
-    moments = [r.exp_moment for r in rows]
-    moment_ok = bool(moments) and max(moments) / min(moments) <= 10.0
-    l1_ok = all(item[2] for item in result.l1)
-    interp_ok = all(item[2] for item in result.interpolation)
-    ladder_ok = all(_ladder_monotone(t) for t in result.traces)
-    return [
-        ("fit_r_squared", fit_ok),
-        ("sublinearity", sublinear_ok),
-        ("implied_c_spread", c_ok),
-        ("moment_spread", moment_ok),
-        ("l1", l1_ok),
-        ("interpolation", interp_ok),
-        ("ladder_monotone", ladder_ok),
-    ]
-
-
-def _mms_error(dim: int, n: int) -> float:
-    """Sup error of the manufactured solution prod sin(pi x_k) e^-t."""
-    T = 0.5
-    nt = max(2, round(T * n * n))  # dt = h^2 on the unit box
-    grid = make_grid([(0.0, 1.0)] * dim, [n] * dim, T, nt)
-
-    def exact(*args):
-        xs, t = args[:-1], args[-1]
-        out = math.exp(-float(t)) * np.ones(np.broadcast_shapes(
-            *[np.shape(x) for x in xs]))
-        for x in xs:
-            out = out * np.sin(math.pi * x)
-        return out
-
-    k = dim * math.pi ** 2 - 1.0
-
-    def forcing(*args):
-        return k * exact(*args)
-
-    spec = ProblemSpec(grid, MatrixCoefficient.identity(grid),
-                       Field.zeros(grid, TIMESLICE), sample(forcing, grid),
-                       sample_initial(lambda *xs: exact(*xs, 0.0), grid))
-    sol = solve_ibvp(spec, opts=SolveOptions(tol=1e-11))
-    return float(np.max(np.abs(sol.phi.values - sample(exact, grid).values)))
-
-
 def _cmd_convergence(args) -> int:
-    all_ok = True
-    for dim in (1, 2):
-        sizes = (16, 32, 64)
-        errors = [_mms_error(dim, n) for n in sizes]
-        print(f"{dim}-D manufactured solution:")
-        prev = None
-        for n, err in zip(sizes, errors):
-            line = f"  nx = {n:3d}  sup error = {err:.12g}"
-            if prev is not None:
-                order = math.log2(prev / err)
-                line += f"  order = {order:.12g}"
-                all_ok = all_ok and order >= 1.7
-            print(line)
-            prev = err
+    orders = []
+    for dim, n, err, order in convergence_orders():
+        line = f"  nx = {n:3d}  sup error = {err:.12g}"
+        if order is None:
+            print(f"{dim}-D manufactured solution:")
+        else:
+            line += f"  order = {order:.12g}"
+            orders.append(order)
+        print(line)
     if args.check:
-        return _print_checks([("convergence_order", all_ok)])
+        worst = min(orders)
+        return _print_checks([Check("convergence_order", worst, worst >= 1.7)])
     return 0
 
 
@@ -217,14 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sup-norm diagnostics for linear parabolic Dirichlet problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="configuration file")
+    def common(p):
+        p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--check", action="store_true",
                        help="turn diagnostics into assertions (exit 3 on failure)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker pool size for sweeps")
 
     p_solve = sub.add_parser("solve", help="march the configured problem")
     common(p_solve)
@@ -247,6 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--eps-list", default=None,
                          help="comma-separated eps values overriding the config")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker pool size for the sweep")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_conv = sub.add_parser("convergence", help="manufactured-solution order study")

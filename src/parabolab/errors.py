@@ -55,7 +55,3 @@ class FitError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Measured data contradicts an identity that must hold exactly."""
-
-
-class CheckFailure(RuntimeError):
-    """An acceptance-style --check assertion failed."""

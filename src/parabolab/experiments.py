@@ -15,6 +15,9 @@ every eps against the grid, then solves one problem per eps (largest
 first), diagnoses each solution, selects a single exponential-moment
 rate alpha for the whole sweep, and fits sup|phi| against
 ln(|f|_q + 1) by ordinary least squares.
+
+Each gate of ``--check`` and of the acceptance tests is a :class:`Check`
+computed once here, holding the value it measured.
 """
 
 import math
@@ -26,13 +29,14 @@ import numpy as np
 
 from parabolab.errors import (ConfigurationError, FitError, RangeError,
                               ResolutionError, SolverError)
-from parabolab.fields import SPACETIME, Field, Grid, ProblemSpec
+from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
+                              ProblemSpec, make_grid, sample, sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
                              exp_change, exp_moment, interpolation_check, l1_check,
                              normalize, trace)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.reductions import pairwise_sum
-from parabolab.solver import SolveOptions, solve_split
+from parabolab.solver import SolveOptions, solve_ibvp, solve_split
 
 SWEEP_CSV_HEADER = "eps,f_norm_crit,f_norm_q,phi_sup,implied_c,exp_moment,l1_lhs,l1_rhs"
 
@@ -271,11 +275,9 @@ class SweepResult:
     fit: FitResult         # None when refused
     fit_note: str
     alpha: float           # selected moment rate
-    traces: tuple          # dominant-sign MoserTrace per row
+    diagnoses: tuple       # Diagnosis per row
     reports: tuple         # BoundReport per row
-    interpolation: tuple   # (lhs, rhs, passed) per row
     skipped: tuple         # (eps, reason) for solver failures
-    l1: tuple              # l1_check (lhs, rhs, passed) per row
 
 
 def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
@@ -298,27 +300,22 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
     for eps in eps_values:
         check_bump(eps, (*family.center, family.t0), grid)
 
-    def worker(eps):
+    def attempt(eps):
+        """(eps, Diagnosis, None) or, when the solver fails, (eps, None, reason)."""
         f = family.field(eps, grid)
-        forced, drift = solve_split(replace(template, f=f), opts=opts)
-        return diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max)
+        try:
+            forced, drift = solve_split(replace(template, f=f), opts=opts)
+            return eps, diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max), None
+        except SolverError as err:
+            return eps, None, str(err)
 
-    done = []  # (eps, Diagnosis)
-    skipped = []
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(eps, pool.submit(worker, eps)) for eps in eps_values]
-            for eps, fut in futures:
-                try:
-                    done.append((eps, fut.result()))
-                except SolverError as err:
-                    skipped.append((eps, str(err)))
+            outcomes = list(pool.map(attempt, eps_values))
     else:
-        for eps in eps_values:
-            try:
-                done.append((eps, worker(eps)))
-            except SolverError as err:
-                skipped.append((eps, str(err)))
+        outcomes = [attempt(eps) for eps in eps_values]
+    done = [(eps, d) for eps, d, _ in outcomes if d is not None]
+    skipped = tuple((eps, reason) for eps, d, reason in outcomes if d is None)
 
     r = (1.0 + beta0) * q / (q - 1.0)
     alpha = choose_alpha([d.moments for _, d in done], r, grid.spacetime_volume, moment_cap)
@@ -340,10 +337,102 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
             fit = fit_log_law(rows)
         except FitError as err:
             note = f"fit refused: {err}"
-    return SweepResult(tuple(rows), fit, note, alpha,
-                       tuple(d.trace for _, d in done), tuple(reports),
-                       tuple(d.interpolation for _, d in done), tuple(skipped),
-                       tuple(d.l1 for _, d in done))
+    return SweepResult(tuple(rows), fit, note, alpha, tuple(d for _, d in done),
+                       tuple(reports), skipped)
+
+
+# ---------------------------------------------------------------------------
+# checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: the value it measured and whether that value passes."""
+    name: str
+    measured: float
+    passed: bool
+
+
+def diagnosis_checks(diagnoses) -> list:
+    """l1 and interpolation (measured: failing rows) and ladder_monotone.
+
+    ladder_monotone measures the smallest rung-to-rung ratio over every
+    trace and passes when no rung falls below its predecessor by more
+    than a relative 1e-12.
+    """
+    l1_failed = sum(not d.l1[2] for d in diagnoses)
+    interp_failed = sum(not d.interpolation[2] for d in diagnoses)
+    ratio = min((rung.ratio for d in diagnoses for rung in d.trace.ladder), default=1.0)
+    return [
+        Check("l1", l1_failed, l1_failed == 0),
+        Check("interpolation", interp_failed, interp_failed == 0),
+        Check("ladder_monotone", ratio, ratio >= 1.0 - 1e-12),
+    ]
+
+
+def _spread(values) -> float:
+    """max/min of positive values; inf when empty or some value is <= 0."""
+    return max(values) / min(values) if values and min(values) > 0 else math.inf
+
+
+def sweep_checks(result: SweepResult) -> list:
+    """The log-law gates, then the rows' :func:`diagnosis_checks`.
+
+    fit_r_squared measures R^2 (nan without a fit), sublinearity the
+    largest quotient of consecutive sup|phi| / |f|_q (below 1 iff they
+    strictly decrease), the two spreads max/min over the rows.
+    """
+    rows = result.rows
+    r2 = result.fit.r_squared if result.fit is not None else math.nan
+    ratios = [r.phi_sup / r.f_norm_q if r.f_norm_q > 0 else math.inf for r in rows]
+    # an infinite or vanishing ratio anywhere makes its quotient inf
+    quotient = max((b / a if 0 < a < math.inf else math.inf
+                    for a, b in zip(ratios, ratios[1:])), default=0.0)
+    c_spread = _spread([r.implied_c for r in rows])
+    moment_spread = _spread([r.exp_moment for r in rows])
+    return [
+        Check("fit_r_squared", r2, r2 >= 0.9),
+        Check("sublinearity", quotient, quotient < 1.0),
+        Check("implied_c_spread", c_spread, c_spread < 3.0),
+        Check("moment_spread", moment_spread, moment_spread <= 10.0),
+    ] + diagnosis_checks(result.diagnoses)
+
+
+def _mms_error(dim: int, n: int) -> float:
+    """Sup error of the manufactured solution prod sin(pi x_k) e^-t."""
+    T = 0.5
+    nt = max(2, round(T * n * n))  # dt = h^2 on the unit box
+    grid = make_grid([(0.0, 1.0)] * dim, [n] * dim, T, nt)
+
+    def exact(*args):
+        xs, t = args[:-1], args[-1]
+        out = math.exp(-float(t)) * np.ones(np.broadcast_shapes(
+            *[np.shape(x) for x in xs]))
+        for x in xs:
+            out = out * np.sin(math.pi * x)
+        return out
+
+    k = dim * math.pi ** 2 - 1.0
+    spec = ProblemSpec(grid, MatrixCoefficient.identity(grid), Field.zeros(grid, TIMESLICE),
+                       sample(lambda *args: k * exact(*args), grid),
+                       sample_initial(lambda *xs: exact(*xs, 0.0), grid))
+    sol = solve_ibvp(spec, opts=SolveOptions(tol=1e-11))
+    return float(np.max(np.abs(sol.phi.values - sample(exact, grid).values)))
+
+
+def convergence_orders() -> list:
+    """(dim, n, sup error, order) rows for dim 1, 2 and n = 16, 32, 64.
+
+    order is log2(previous error / error), None on each dim's first size.
+    """
+    rows = []
+    for dim in (1, 2):
+        prev = None
+        for n in (16, 32, 64):
+            err = _mms_error(dim, n)
+            rows.append((dim, n, err, None if prev is None else math.log2(prev / err)))
+            prev = err
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ integrability exponent q lies strictly above the critical value 1 + N/2.  ``vali
 empty report means the spec is admissible.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,12 +176,6 @@ class Field:
         shape = grid.shape_spacetime if kind == SPACETIME else grid.shape_space
         return cls(grid, np.zeros(shape), kind)
 
-    def slice(self, t_index: int) -> np.ndarray:
-        if self.kind != SPACETIME:
-            raise ConfigurationError("slice() requires a spacetime field")
-        return self.values[t_index]
-
-
 def sample(fn, grid: Grid) -> Field:
     """Sample ``fn(x1, ..., xN, t)`` at cell midpoints and all time levels.
 
@@ -243,10 +237,6 @@ class MatrixCoefficient:
     @classmethod
     def identity(cls, grid: Grid) -> "MatrixCoefficient":
         return cls(grid, [1.0] * grid.dim)
-
-    @classmethod
-    def isotropic(cls, grid: Grid, value) -> "MatrixCoefficient":
-        return cls(grid, [value] * grid.dim)
 
     def component(self, i: int, j: int):
         """Entry a_ij as stored: scalar, spatial array, or space-time array."""

@@ -223,19 +223,13 @@ def _require_admissible(spec: ProblemSpec) -> None:
         raise ConfigurationError(f"problem data violate the standing hypotheses: {lines}")
 
 
-def _check_grid(spec: ProblemSpec, grid) -> None:
-    if grid is not None and grid != spec.grid:
-        raise ConfigurationError("explicit grid argument disagrees with spec.grid")
-
-
-def step(state: Field, spec: ProblemSpec, grid: Grid = None, t_index: int = 0,
+def step(state: Field, spec: ProblemSpec, t_index: int = 0,
          opts: SolveOptions = None) -> Field:
     """Advance one backward-Euler step from time level t_index.
 
     Returns the timeslice at level t_index + 1; coefficients and forcing
     are taken at the new level.
     """
-    _check_grid(spec, grid)
     _require_admissible(spec)
     if state.kind != TIMESLICE or state.grid != spec.grid:
         raise ConfigurationError("state must be a timeslice field on the spec grid")
@@ -249,9 +243,8 @@ def step(state: Field, spec: ProblemSpec, grid: Grid = None, t_index: int = 0,
     return Field(spec.grid, x, TIMESLICE)
 
 
-def solve_ibvp(spec: ProblemSpec, grid: Grid = None, opts: SolveOptions = None) -> Solution:
+def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     """March the initial-boundary value problem over all nt steps."""
-    _check_grid(spec, grid)
     _require_admissible(spec)
     opts = opts or SolveOptions()
     g = spec.grid
@@ -279,14 +272,13 @@ def solve_ibvp(spec: ProblemSpec, grid: Grid = None, opts: SolveOptions = None) 
     return Solution(Field(g, phi, SPACETIME), tuple(residuals), tuple(iterations))
 
 
-def solve_split(spec: ProblemSpec, grid: Grid = None, opts: SolveOptions = None):
+def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
     """Split phi = phi1 + phi2: forcing with zero data, data with zero forcing.
 
     Returns (Solution phi1, Solution phi2).  When the initial data or
     the forcing vanish identically the corresponding half is a zero
     field produced without linear solves.
     """
-    _check_grid(spec, grid)
     g = spec.grid
     no_data = not np.any(spec.phi0.values)
     no_forcing = not np.any(spec.f.values)
@@ -295,12 +287,12 @@ def solve_split(spec: ProblemSpec, grid: Grid = None, opts: SolveOptions = None)
         _require_admissible(spec)
         return zero_history, zero_history
     if no_data:
-        return solve_ibvp(spec, grid, opts), zero_history
+        return solve_ibvp(spec, opts), zero_history
     if no_forcing:
-        return zero_history, solve_ibvp(spec, grid, opts)
+        return zero_history, solve_ibvp(spec, opts)
     forced = replace(spec, phi0=Field.zeros(g, TIMESLICE))
     drift = replace(spec, f=Field.zeros(g, SPACETIME))
-    return solve_ibvp(forced, grid, opts), solve_ibvp(drift, grid, opts)
+    return solve_ibvp(forced, opts), solve_ibvp(drift, opts)
 
 
 # ---------------------------------------------------------------------------

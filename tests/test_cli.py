@@ -90,9 +90,11 @@ def test_diagnose_writes_trace_and_report(tmp_path):
 
 
 def test_sweep_writes_all_artifacts(tmp_path, capsys):
+    # two rows cannot be fitted, so --check fails (exit 3) after every
+    # artifact and row has been written
     code = run(["sweep", "--config", SMALL, "--out", str(tmp_path),
-                "--eps-list", "0.3535533905932738,0.25"])
-    assert code == 0
+                "--eps-list", "0.3535533905932738,0.25", "--check"])
+    assert code == 3
     for name in ("sweep.csv", "sweep.svg", "trace.csv", "ledger.txt"):
         assert os.path.exists(os.path.join(tmp_path, name)), name
     header = open(os.path.join(tmp_path, "sweep.csv")).readline().strip()
@@ -101,6 +103,7 @@ def test_sweep_writes_all_artifacts(tmp_path, capsys):
     assert lines[0] == "rows: 2   alpha = 1"
     for line, want in zip(lines[2:4], SMALL_PRINTED_ROWS):
         assert _numbers(line) == pytest.approx(want, rel=1e-9)
+    assert "check fit_r_squared: FAIL" in lines
 
 
 def test_missing_config_is_a_usage_error():
@@ -109,6 +112,10 @@ def test_missing_config_is_a_usage_error():
 
 def test_unknown_flag_is_a_usage_error():
     assert run(["solve", "--config", DEMO, "--frobnicate"]) == 1
+
+
+def test_threads_is_a_sweep_only_flag():
+    assert run(["diagnose", "--config", DEMO, "--threads", "2"]) == 1
 
 
 def test_help_exits_clean(capsys):

@@ -2,18 +2,20 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import parabolab.experiments as experiments
 from parabolab.config import load_config
-from parabolab.errors import ConfigurationError, FitError, ResolutionError
-from parabolab.experiments import (BumpFamily, SweepRow, bump, export,
-                                   fit_log_law, parse_sweep_csv, profile_norm,
-                                   run_sweep)
+from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
+from parabolab.experiments import (BumpFamily, Diagnosis, SweepResult, SweepRow, bump,
+                                   diagnosis_checks, export, fit_log_law, parse_sweep_csv,
+                                   profile_norm, run_sweep, sweep_checks)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid)
+from parabolab.moser import LadderRung, MoserTrace
 from parabolab.norms import lq_spacetime
 
 
@@ -138,6 +140,58 @@ def test_run_sweep_rejects_an_unresolved_eps_before_any_solve(monkeypatch):
         run_sweep(bundle.spec, bundle.sweep.family, (0.25, 0.125, 0.01),
                   opts=bundle.solve_options)
     assert len(calls) == 0
+
+
+def test_run_sweep_skips_a_failed_solve_for_every_thread_count(monkeypatch):
+    _, spec = _small_template()
+    fam = BumpFamily((0.375, 0.375), 0.13, 2.0)
+    real = experiments.solve_split
+    wide_peak = np.max(fam.field(2.0 ** -1.5, spec.grid).values)
+
+    def failing(spec, opts=None):
+        if np.max(spec.f.values) > wide_peak:   # the narrower bump
+            raise SolverError("stalled", residual=1.0)
+        return real(spec, opts=opts)
+
+    monkeypatch.setattr(experiments, "solve_split", failing)
+    for threads in (1, 2):
+        result = run_sweep(spec, fam, [2.0 ** -1.5, 0.25], threads=threads)
+        assert [row.eps for row in result.rows] == [2.0 ** -1.5]
+        assert len(result.diagnoses) == 1
+        assert result.skipped == ((0.25, "stalled"),)
+
+
+def test_sweep_checks_measure_what_they_gate():
+    # sup|phi| / |f|_q = 0.5, 0.375, 0.4375: the last step rises by 7/6
+    rows = tuple(SweepRow(eps, 1.0, fq, sup, c, m, 0.0, 1.0) for eps, fq, sup, c, m in (
+        (0.5, 2.0, 1.0, 0.1, 1.0), (0.25, 4.0, 1.5, 0.2, 5.0), (0.125, 8.0, 3.5, 0.25, 2.0)))
+    checks = sweep_checks(SweepResult(rows, None, "fit refused", 1.0, (), (), ()))
+    assert [c.name for c in checks] == ["fit_r_squared", "sublinearity", "implied_c_spread",
+                                        "moment_spread", "l1", "interpolation",
+                                        "ladder_monotone"]
+    got = {c.name: (c.measured, c.passed) for c in checks}
+    assert math.isnan(got["fit_r_squared"][0]) and not got["fit_r_squared"][1]
+    assert got["sublinearity"] == (pytest.approx(7.0 / 6.0), False)
+    assert got["implied_c_spread"] == (pytest.approx(2.5), True)
+    assert got["moment_spread"] == (5.0, True)
+    assert got["l1"] == got["interpolation"] == (0, True)
+    assert got["ladder_monotone"] == (1.0, True)
+    # a row without forcing has no ratio, so sublinearity cannot pass
+    worse = (replace(rows[0], f_norm_q=0.0, implied_c=0.7, exp_moment=60.0), rows[1])
+    got = {c.name: (c.measured, c.passed)
+           for c in sweep_checks(SweepResult(worse, None, "", 1.0, (), (), ()))}
+    assert got["sublinearity"] == (math.inf, False)
+    assert got["implied_c_spread"] == (pytest.approx(3.5), False)
+    assert got["moment_spread"] == (12.0, False)
+
+
+def test_diagnosis_checks_count_failures_and_find_the_lowest_rung():
+    ladder = (LadderRung(0, 1.0, 1.0, 1.0), LadderRung(1, 2.0, 0.5, 0.5))
+    trace = MoserTrace(1.0, 1.5, ladder, 1.0, 1.0, False)
+    d = Diagnosis(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, (2.0, 1.0, False), trace, (1.0, 2.0, True), {})
+    checks = diagnosis_checks([d, replace(d, interpolation=(3.0, 2.0, False))])
+    assert [(c.name, c.measured, c.passed) for c in checks] == [
+        ("l1", 2, False), ("interpolation", 1, False), ("ladder_monotone", 0.5, False)]
 
 
 def test_sweep_rows_round_trip_through_csv(tmp_path):
