@@ -21,10 +21,10 @@ the final bound.
 """
 
 from parabolab.fields import Grid, Field, MatrixCoefficient, ProblemSpec, make_grid, sample, sample_initial, validate
-from parabolab.solver import SolveOptions, Solution, solve_ibvp, solve_split, step
-from parabolab.norms import lq_spacetime, ess_sup, sup_t_spatial_l1, sobolev_constant_estimate
+from parabolab.solver import SolveOptions, Solution, solve_ibvp, solve_split
+from parabolab.norms import lq_spacetime, ess_sup, sup_t_spatial_l1
 from parabolab.moser import normalize, exp_change, exp_moment, l1_check, chi, ladder, exponents, trace, interpolation_check, assemble_bound
-from parabolab.constants import build_ledger, degeneracy_scan
+from parabolab.constants import build_ledger
 from parabolab.experiments import BumpFamily, bump, diagnose, run_sweep, fit_log_law
 
 __version__ = "0.1.0"
@@ -32,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "Field", "MatrixCoefficient", "ProblemSpec",
     "make_grid", "sample", "sample_initial", "validate",
-    "SolveOptions", "Solution", "solve_ibvp", "solve_split", "step",
-    "lq_spacetime", "ess_sup", "sup_t_spatial_l1", "sobolev_constant_estimate",
+    "SolveOptions", "Solution", "solve_ibvp", "solve_split",
+    "lq_spacetime", "ess_sup", "sup_t_spatial_l1",
     "normalize", "exp_change", "exp_moment", "l1_check", "chi", "ladder",
     "exponents", "trace", "interpolation_check", "assemble_bound",
-    "build_ledger", "degeneracy_scan",
+    "build_ledger",
     "BumpFamily", "bump", "diagnose", "run_sweep", "fit_log_law",
 ]

@@ -1,10 +1,9 @@
 """Matrix-free preconditioned conjugate gradients.
 
 Used for the symmetric positive definite systems produced by the implicit
-time stepper and by the embedding-constant estimator.  All inner products
-go through :func:`parabolab.reductions.pairwise_sum`, whose order depends
-only on the vector length, so solves are bit-reproducible on one numpy
-build.
+time stepper.  All inner products go through
+:func:`parabolab.reductions.pairwise_sum`, whose order depends only on the
+vector length, so solves are bit-reproducible on one numpy build.
 """
 
 import math

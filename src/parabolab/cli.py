@@ -15,8 +15,8 @@ import sys
 from parabolab.config import load_config
 from parabolab.constants import build_ledger, ledger_to_text
 from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError,
-                              EstimationError, EvaluationError, FitError,
-                              RangeError, ResolutionError, SolverError)
+                              EvaluationError, FitError, RangeError, ResolutionError,
+                              SolverError)
 from parabolab.experiments import (Check, _sweep_text, convergence_orders, diagnose,
                                    diagnosis_checks, export, run_sweep, sweep_checks)
 from parabolab.moser import assemble_bound, bound_to_text, trace_to_csv
@@ -199,8 +199,8 @@ def run(argv=None) -> int:
     except (ConfigurationError, ResolutionError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-    except (SolverError, RangeError, DomainError, EvaluationError,
-            EstimationError, FitError, ConsistencyError) as err:
+    except (SolverError, RangeError, DomainError, EvaluationError, FitError,
+            ConsistencyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

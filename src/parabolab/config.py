@@ -66,6 +66,17 @@ def _floats(text: str, key: str):
         raise ConfigurationError(f"{key}: cannot parse numbers from {text!r}") from err
 
 
+def _scalar(section, where: str, key: str, kind=float, default=None):
+    """section[key] parsed by kind (float or int), or default when absent."""
+    if key not in section:
+        return default
+    try:
+        return kind(section[key])
+    except ValueError as err:
+        raise ConfigurationError(
+            f"{where}.{key}: cannot parse a number from {section[key]!r}") from err
+
+
 def _parse_function(text: str, key: str):
     """Split `name k=v k=v` into (name, params dict of float tuples)."""
     tokens = text.split()
@@ -199,12 +210,12 @@ def load_config(path: str) -> ConfigBundle:
             raise ConfigurationError(f"grid.box: each axis needs lo,hi, got {token!r}")
         box.append((vals[0], vals[1]))
     nx = [int(v) for v in _floats(gs["nx"], "grid.nx")]
-    grid = make_grid(box, nx, float(gs["T"]), int(gs["nt"]))
+    grid = make_grid(box, nx, _scalar(gs, "grid", "T"), _scalar(gs, "grid", "nt", int))
 
     cs = parser["coefficients"] if "coefficients" in parser else {}
     A = _build_coefficient(cs, grid)
-    lam = float(cs.get("lambda", 1.0))
-    q = float(cs.get("q", 4.0))
+    lam = _scalar(cs, "coefficients", "lambda", default=1.0)
+    q = _scalar(cs, "coefficients", "q", default=4.0)
     omega_text = str(cs.get("omega", "0.0")).strip()
     try:
         omega_val = float(omega_text)
@@ -232,17 +243,16 @@ def load_config(path: str) -> ConfigBundle:
             else tuple(0.5 * (lo + hi) for lo, hi in grid.box)
         if len(x0) != grid.dim:
             raise ConfigurationError(f"sweep.x0 needs {grid.dim} components")
-        t0 = float(ss.get("t0", 0.6 * grid.T))
-        family = BumpFamily(x0, t0, float(ss.get("gamma", 2.0)),
-                            float(ss.get("amplitude", 1.0)))
-        sweep = SweepSettings(eps, family, float(ss.get("beta0", 1.0)),
-                              int(ss.get("i_max", 12)),
-                              float(ss.get("moment_cap", 10.0)))
+        family = BumpFamily(x0, _scalar(ss, "sweep", "t0", default=0.6 * grid.T),
+                            _scalar(ss, "sweep", "gamma", default=2.0),
+                            _scalar(ss, "sweep", "amplitude", default=1.0))
+        sweep = SweepSettings(eps, family, _scalar(ss, "sweep", "beta0", default=1.0),
+                              _scalar(ss, "sweep", "i_max", int, 12),
+                              _scalar(ss, "sweep", "moment_cap", default=10.0))
 
     opts = SolveOptions()
     if "solver" in parser:
         sv = parser["solver"]
-        tol = float(sv.get("tol", 1e-10))
-        max_iters = int(sv["max_iters"]) if "max_iters" in sv else None
-        opts = SolveOptions(tol, max_iters)
+        opts = SolveOptions(_scalar(sv, "solver", "tol", default=1e-10),
+                            _scalar(sv, "solver", "max_iters", int))
     return ConfigBundle(grid, spec, sweep, opts)

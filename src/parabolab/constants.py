@@ -9,9 +9,6 @@ applied to each sum.  The remaining multiplicative constant is never a
 single number in the analysis (it hides absorption choices), so the
 ledger records lambda, |Omega|, T and c_s as symbolic inputs and does
 not invent a value for it.
-
-The scan over q makes the degeneracy at the critical exponent
-q = 1 + N/2 quantitative: chi -> 1 and every derived exponent blows up.
 """
 
 from dataclasses import dataclass
@@ -60,20 +57,6 @@ def build_ledger(N: int, q: float, beta0: float = 1.0, alpha: float = 1.0,
                            c, alpha0, r, final, s0, s1, pre, pre * s0, pre * s1)
 
 
-def degeneracy_scan(N: int, q_values, beta0: float = 1.0, alpha: float = 1.0):
-    """Rows (q, chi, alpha0, final exponent) over a grid of q values.
-
-    chi increases toward (N+2)/N as q grows; alpha0 and the final
-    exponent blow up as q decreases to 1 + N/2.
-    """
-    rows = []
-    for q in q_values:
-        c = chi(N, q)
-        alpha0, r, final = exponents(beta0, q, N, alpha)
-        rows.append((float(q), c, alpha0, final))
-    return rows
-
-
 def ledger_to_text(ledger: ConstantsLedger) -> str:
     def fmt(v):
         return "symbolic" if v is None else f"{v:.12g}"
@@ -98,21 +81,4 @@ def ledger_to_text(ledger: ConstantsLedger) -> str:
         f"  prefactor*S0 = {fmt(ledger.prefactor_S0)}",
         f"  prefactor*S1 = {fmt(ledger.prefactor_S1)}",
     ]
-    return "\n".join(lines) + "\n"
-
-
-def ledger_to_csv(ledger: ConstantsLedger) -> str:
-    pairs = [
-        ("N", ledger.N), ("q", ledger.q), ("beta0", ledger.beta0),
-        ("alpha", ledger.alpha), ("lambda", ledger.lam),
-        ("measure", ledger.measure), ("T", ledger.T), ("c_s", ledger.c_s),
-        ("chi", ledger.chi), ("alpha0", ledger.alpha0), ("r", ledger.r),
-        ("final", ledger.final_exponent), ("S0", ledger.S0), ("S1", ledger.S1),
-        ("prefactor", ledger.prefactor_exponent),
-        ("prefactor_S0", ledger.prefactor_S0),
-        ("prefactor_S1", ledger.prefactor_S1),
-    ]
-    lines = ["name,value"]
-    for name, value in pairs:
-        lines.append(f"{name},{'' if value is None else format(value, '.13g')}")
     return "\n".join(lines) + "\n"

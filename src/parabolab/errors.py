@@ -2,7 +2,7 @@
 
 Each class marks a distinct failure mode so callers (and the command line
 driver) can map them to exit codes: configuration problems are user input
-errors, solver and estimation failures are runtime diagnostics.
+errors, solver failures are runtime diagnostics.
 """
 
 
@@ -39,14 +39,6 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.step_index = step_index
-
-
-class EstimationError(RuntimeError):
-    """Constant estimation did not converge; carries the last quotient."""
-
-    def __init__(self, message, last_quotient=None):
-        super().__init__(message)
-        self.last_quotient = last_quotient
 
 
 class FitError(ValueError):

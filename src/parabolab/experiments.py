@@ -23,7 +23,6 @@ computed once here, holding the value it measured.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,21 +124,6 @@ class BumpFamily:
         return Field(grid, self.amplitude * f.values, f.kind)
 
 
-@lru_cache(maxsize=None)
-def profile_norm(p: float, N: int, points: int = 200000) -> float:
-    """|psi|_p over R^N x R by radial midpoint quadrature.
-
-    psi depends only on rho = |(y, s)|, so the (N+1)-dimensional
-    integral reduces to the unit sphere area times a radial integral.
-    """
-    d = N + 1
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    h = 1.0 / points
-    rho = (np.arange(points) + 0.5) * h
-    integrand = np.exp(-p / (1.0 - rho * rho)) * rho ** (d - 1)
-    return (area * pairwise_sum(integrand) * h) ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # regression
 # ---------------------------------------------------------------------------
@@ -150,13 +134,6 @@ class FitResult:
     intercept: float
     r_squared: float
     curvature: float  # quadratic coefficient of a 2nd-degree refit
-
-
-def _fit_xy(row):
-    if hasattr(row, "f_norm_q"):
-        return math.log(row.f_norm_q + 1.0), row.phi_sup
-    x, y = row
-    return float(x), float(y)
 
 
 def _quadratic_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -176,13 +153,12 @@ def _quadratic_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
     return det_a / det
 
 
-def fit_log_law(rows) -> FitResult:
-    """OLS of sup|phi| on ln(|f|_q + 1); rows may also be raw (x, y) pairs."""
-    if len(rows) < 4:
-        raise FitError(f"need at least 4 rows to fit, got {len(rows)}")
-    pts = [_fit_xy(r) for r in rows]
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+def fit_log_law(xs, ys) -> FitResult:
+    """OLS of ys on xs; the sweep fits sup|phi| on ln(|f|_q + 1)."""
+    if len(xs) < 4:
+        raise FitError(f"need at least 4 rows to fit, got {len(xs)}")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
     xbar = pairwise_sum(xs) / xs.size
     ybar = pairwise_sum(ys) / ys.size
     sxx = pairwise_sum((xs - xbar) ** 2)
@@ -276,7 +252,6 @@ class SweepResult:
     fit_note: str
     alpha: float           # selected moment rate
     diagnoses: tuple       # Diagnosis per row
-    reports: tuple         # BoundReport per row
     skipped: tuple         # (eps, reason) for solver failures
 
 
@@ -320,13 +295,11 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
     r = (1.0 + beta0) * q / (q - 1.0)
     alpha = choose_alpha([d.moments for _, d in done], r, grid.spacetime_volume, moment_cap)
     rows = []
-    reports = []
     for eps, d in done:
         report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,
                                 q, grid.dim, beta0, alpha)
         rows.append(SweepRow(eps, d.f_norm_crit, d.f_norm_q, d.phi_sup, report.implied_c,
                              d.moments[alpha], d.l1[0], d.l1[1]))
-        reports.append(report)
 
     fit = None
     note = ""
@@ -334,11 +307,11 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
         note = f"fit refused: only {len(rows)} successful rows (need 4)"
     else:
         try:
-            fit = fit_log_law(rows)
+            fit = fit_log_law([math.log(row.f_norm_q + 1.0) for row in rows],
+                              [row.phi_sup for row in rows])
         except FitError as err:
             note = f"fit refused: {err}"
-    return SweepResult(tuple(rows), fit, note, alpha, tuple(d for _, d in done),
-                       tuple(reports), skipped)
+    return SweepResult(tuple(rows), fit, note, alpha, tuple(d for _, d in done), skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +419,6 @@ def _sweep_csv(result: SweepResult) -> str:
             row.eps, row.f_norm_crit, row.f_norm_q, row.phi_sup,
             row.implied_c, row.exp_moment, row.l1_lhs, row.l1_rhs)))
     return "\n".join(lines) + "\n"
-
-
-def parse_sweep_csv(path: str):
-    """Read back a sweep CSV written by :func:`export`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != SWEEP_CSV_HEADER:
-            raise ConfigurationError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = [float(tok) for tok in line.split(",")]
-            if len(parts) != 8:
-                raise ConfigurationError(f"{path}: malformed row {line!r}")
-            rows.append(SweepRow(*parts))
-    return rows
 
 
 def _svg_plot(result: SweepResult) -> str:

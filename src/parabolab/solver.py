@@ -6,11 +6,10 @@
 on a cell-centered grid.  Each step solves (I + dt L) phi^{n+1} =
 phi^n + dt f^{n+1} where L discretizes -div(A grad .) + omega with
 coefficients frozen at the new time level (fully implicit).  L is the
-:class:`Stencil`, whose docstring states the discretisation; the
-embedding estimate in :mod:`parabolab.norms` uses the same operator with
-A = I.  All linear algebra is matrix-free with diagonal preconditioning,
-and every reduction goes through :func:`parabolab.reductions.pairwise_sum`,
-so repeated runs on one numpy build are bit-identical.
+:class:`Stencil`, whose docstring states the discretisation.  All
+linear algebra is matrix-free with diagonal preconditioning, and every
+reduction goes through :func:`parabolab.reductions.pairwise_sum`, so
+repeated runs on one numpy build are bit-identical.
 """
 
 from dataclasses import dataclass, replace
@@ -223,26 +222,6 @@ def _require_admissible(spec: ProblemSpec) -> None:
         raise ConfigurationError(f"problem data violate the standing hypotheses: {lines}")
 
 
-def step(state: Field, spec: ProblemSpec, t_index: int = 0,
-         opts: SolveOptions = None) -> Field:
-    """Advance one backward-Euler step from time level t_index.
-
-    Returns the timeslice at level t_index + 1; coefficients and forcing
-    are taken at the new level.
-    """
-    _require_admissible(spec)
-    if state.kind != TIMESLICE or state.grid != spec.grid:
-        raise ConfigurationError("state must be a timeslice field on the spec grid")
-    if not 0 <= t_index < spec.grid.nt:
-        raise ConfigurationError(f"t_index must lie in [0, nt), got {t_index}")
-    opts = opts or SolveOptions()
-    apply_op, diag = _backward_euler(Stencil.at(spec, t_index + 1), spec.grid.dt)
-    rhs = state.values + spec.grid.dt * spec.f.values[t_index + 1]
-    x, _, _ = conjugate_gradient(apply_op, rhs, diag, state.values,
-                                 opts.tol, opts.iteration_cap(spec.grid))
-    return Field(spec.grid, x, TIMESLICE)
-
-
 def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     """March the initial-boundary value problem over all nt steps."""
     _require_admissible(spec)
@@ -296,42 +275,20 @@ def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
-def export_solution(solution, path: str) -> None:
-    """Dump a solution (or bare spacetime field) as text.
+def export_solution(solution: Solution, path: str) -> None:
+    """Dump a solution as text.
 
     Layout: header line `N nx... nt T`, a second header carrying the box
     extents, then one value per line, time-major and row-major per slice.
     """
-    field = solution.phi if isinstance(solution, Solution) else solution
-    g = field.grid
+    g = solution.phi.grid
     with open(path, "w") as fh:
         fh.write("# " + " ".join([str(g.dim)] + [str(n) for n in g.nx]
                                  + [str(g.nt), repr(g.T)]) + "\n")
         fh.write("# box " + " ".join(f"{lo!r},{hi!r}" for lo, hi in g.box) + "\n")
-        flat = field.values.reshape(-1)
+        flat = solution.phi.values.reshape(-1)
         fh.write("\n".join(f"{v:.17g}" for v in flat))
         fh.write("\n")
-
-
-def load_solution(path: str) -> Field:
-    """Inverse of :func:`export_solution`; reconstructs grid and field."""
-    from parabolab.fields import make_grid
-    with open(path) as fh:
-        header = fh.readline().strip().lstrip("# ").split()
-        box_line = fh.readline().strip().lstrip("# ").split()
-        dim = int(header[0])
-        nx = [int(v) for v in header[1:1 + dim]]
-        nt = int(header[1 + dim])
-        T = float(header[2 + dim])
-        if box_line[0] != "box":
-            raise ConfigurationError(f"{path}: malformed box header")
-        box = []
-        for token in box_line[1:]:
-            lo, hi = token.split(",")
-            box.append((float(lo), float(hi)))
-        values = np.loadtxt(fh).reshape((nt + 1, *nx))
-    grid = make_grid(box, nx, T, nt)
-    return Field(grid, values, SPACETIME)

@@ -110,6 +110,20 @@ def test_missing_config_is_a_usage_error():
     assert run(["solve", "--config", "/nonexistent/path.cfg"]) == 1
 
 
+@pytest.mark.parametrize("line, value, key", [("T = 0.5", "T = abc", "grid.T"),
+                                              ("tol = 1e-10", "tol = 1e-1O", "solver.tol")],
+                         ids=["T", "tol"])
+def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
+    text = open(DEMO).read()
+    assert line in text
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text.replace(line, value))
+    assert run(["solve", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+
+
 def test_unknown_flag_is_a_usage_error():
     assert run(["solve", "--config", DEMO, "--frobnicate"]) == 1
 
