@@ -205,6 +205,9 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     check (alpha = min(1, r/2)) and exponential moments then run on u
     and on -u.  The sign with the larger measured sup supplies the trace
     and the interpolation triple; each moment keeps its larger value.
+    When min(u) >= 0, -u cannot change that answer: w(-u) is 1 everywhere,
+    so its measured sup never beats u's, and exp(-a u) <= exp(a u) at
+    every sample.  Only u is then run.
     """
     grid = f.grid
     N = grid.dim
@@ -213,7 +216,10 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     pair = normalize(phi1, f)
     best = None  # (trace, interpolation triple)
     moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
-    for u in (pair.u, Field(grid, -pair.u.values, SPACETIME)):
+    signs = [pair.u]
+    if np.min(pair.u.values) < 0.0:
+        signs.append(Field(grid, -pair.u.values, SPACETIME))
+    for u in signs:
         _, w = exp_change(u)
         tr = trace(w, beta0, q, N, i_max)
         if best is None or tr.measured_sup > best[0].measured_sup:
