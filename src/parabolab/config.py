@@ -59,9 +59,9 @@ class ConfigBundle:
     solve_options: SolveOptions
 
 
-def _floats(text: str, key: str):
+def _numbers(text: str, key: str, kind=float):
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return [kind(tok) for tok in text.replace(",", " ").split()]
     except ValueError as err:
         raise ConfigurationError(f"{key}: cannot parse numbers from {text!r}") from err
 
@@ -86,7 +86,7 @@ def _parse_function(text: str, key: str):
         if "=" not in tok:
             raise ConfigurationError(f"{key}: expected k=v parameter, got {tok!r}")
         pkey, pval = tok.split("=", 1)
-        vals = _floats(pval, f"{key}.{pkey}")
+        vals = _numbers(pval, f"{key}.{pkey}")
         params[pkey] = vals[0] if len(vals) == 1 else tuple(vals)
     return name, params
 
@@ -160,7 +160,7 @@ def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
     N = grid.dim
     diag = [1.0] * N
     if "a" in section:
-        vals = _floats(section["a"], "coefficients.a")
+        vals = _numbers(section["a"], "coefficients.a")
         if len(vals) == 1:
             diag = [vals[0]] * N
         elif len(vals) == N:
@@ -205,11 +205,11 @@ def load_config(path: str) -> ConfigBundle:
     pairs = gs["box"].split()
     box = []
     for token in pairs:
-        vals = _floats(token, "grid.box")
+        vals = _numbers(token, "grid.box")
         if len(vals) != 2:
             raise ConfigurationError(f"grid.box: each axis needs lo,hi, got {token!r}")
         box.append((vals[0], vals[1]))
-    nx = [int(v) for v in _floats(gs["nx"], "grid.nx")]
+    nx = _numbers(gs["nx"], "grid.nx", int)
     grid = make_grid(box, nx, _scalar(gs, "grid", "T"), _scalar(gs, "grid", "nt", int))
 
     cs = parser["coefficients"] if "coefficients" in parser else {}
@@ -238,8 +238,8 @@ def load_config(path: str) -> ConfigBundle:
         ss = parser["sweep"]
         if "eps" not in ss:
             raise ConfigurationError(f"{path}: [sweep] missing eps")
-        eps = tuple(_floats(ss["eps"], "sweep.eps"))
-        x0 = tuple(_floats(ss["x0"], "sweep.x0")) if "x0" in ss \
+        eps = tuple(_numbers(ss["eps"], "sweep.eps"))
+        x0 = tuple(_numbers(ss["x0"], "sweep.x0")) if "x0" in ss \
             else tuple(0.5 * (lo + hi) for lo, hi in grid.box)
         if len(x0) != grid.dim:
             raise ConfigurationError(f"sweep.x0 needs {grid.dim} components")

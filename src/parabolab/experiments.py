@@ -31,8 +31,7 @@ from parabolab.errors import (ConfigurationError, FitError, RangeError,
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
                               ProblemSpec, make_grid, sample, sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
-                             exp_change, exp_moment, interpolation_check, l1_check,
-                             normalize, trace)
+                             exp_moment, interpolation_check, l1_check, normalize, trace)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
@@ -201,38 +200,33 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
 
     phi1 solves the problem with forcing f and zero data, phi2 the one
     with data phi0 and no forcing.  phi1 is normalized by the critical
-    forcing norm; the exponential change, ladder trace, interpolation
-    check (alpha = min(1, r/2)) and exponential moments then run on u
-    and on -u.  The sign with the larger measured sup supplies the trace
-    and the interpolation triple; each moment keeps its larger value.
-    When min(u) >= 0, -u cannot change that answer: w(-u) is 1 everywhere,
-    so its measured sup never beats u's, and exp(-a u) <= exp(a u) at
-    every sample.  Only u is then run.
+    forcing norm; the ladder trace, interpolation check (alpha =
+    min(1, r/2)) and exponential moments of w = max(e^u, 1) then run on u
+    and on -u (on u alone when min(u) >= 0; see :mod:`parabolab.moser`).
+    The sign with the larger measured sup supplies the trace and the
+    interpolation triple; each moment keeps its larger value.
     """
     grid = f.grid
     N = grid.dim
+    weight = grid.cell_volume * grid.dt
     r = (1.0 + beta0) * q / (q - 1.0)
-    phi_sup = ess_sup(Field(grid, phi1.values + phi2.values, SPACETIME))
+    phi = phi1.values + phi2.values
+    phi_sup = float(np.max(np.abs(phi, out=phi)))
     pair = normalize(phi1, f)
     best = None  # (trace, interpolation triple)
     moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
     signs = [pair.u]
-    if np.min(pair.u.values) < 0.0:
-        signs.append(Field(grid, -pair.u.values, SPACETIME))
+    if np.min(pair.u) < 0.0:
+        signs.append(-pair.u)
     for u in signs:
-        _, w = exp_change(u)
-        tr = trace(w, beta0, q, N, i_max)
+        tr = trace(u, beta0, q, N, i_max)
         if best is None or tr.measured_sup > best[0].measured_sup:
-            best = (tr, interpolation_check(w, r, min(1.0, 0.5 * r)))
-        for a in ALPHA_CANDIDATES:
-            try:
-                m = exp_moment(u, a, N)
-            except RangeError:
-                m = math.inf
+            best = (tr, interpolation_check(u, r, min(1.0, 0.5 * r), weight))
+        for a, m in exp_moment(u, ALPHA_CANDIDATES, weight, N).items():
             moments[a] = max(moments[a], m)
     return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2),
-                     lq_spacetime(f, 1.0 + N / 2.0), lq_spacetime(f, q), pair.scale,
-                     l1_check(pair.u, pair.g), best[0], best[1], moments)
+                     pair.f_norm_crit, lq_spacetime(f, q), pair.scale,
+                     l1_check(pair.u, f, pair.scale), best[0], best[1], moments)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +252,7 @@ class SweepResult:
     fit_note: str
     alpha: float           # selected moment rate
     diagnoses: tuple       # Diagnosis per row
-    skipped: tuple         # (eps, reason) for solver failures
+    skipped: tuple         # (eps, reason) for rows whose solve or diagnosis failed
 
 
 def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
@@ -282,12 +276,13 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
         check_bump(eps, (*family.center, family.t0), grid)
 
     def attempt(eps):
-        """(eps, Diagnosis, None) or, when the solver fails, (eps, None, reason)."""
+        """(eps, Diagnosis, None), or (eps, None, reason) when the solver fails
+        or a norm of the row overflows."""
         f = family.field(eps, grid)
         try:
             forced, drift = solve_split(replace(template, f=f), opts=opts)
             return eps, diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max), None
-        except SolverError as err:
+        except (SolverError, RangeError) as err:
             return eps, None, str(err)
 
     if threads > 1:

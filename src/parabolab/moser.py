@@ -9,9 +9,14 @@ exponent alpha0*r/alpha + 1/alpha quantify how the bound degenerates as
 q approaches the critical value 1 + N/2 (where chi reaches 1 and the
 ladder stalls).
 
+The chain reads w only as max(e^max u, 1) and sums of exp(p max(u, 0))
+(max(u, 0) = log w), so it runs on the plain array u and never builds
+w: rungs, quasi-norms and moments come from norms.log_power_sums.
+
 Sign handling: the sup estimate is one-sided through the exponential,
 so :func:`parabolab.experiments.diagnose` runs the pipeline on u and on
--u and keeps the larger answer.
+-u and keeps the larger answer.  When min(u) >= 0, -u cannot win (w(-u)
+is 1 everywhere and exp(-a u) <= exp(a u)), so only u runs.
 """
 
 import math
@@ -20,21 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from parabolab.errors import ConsistencyError, DomainError, RangeError
-from parabolab.fields import SPACETIME, Field
-from parabolab.norms import _lq_core, ess_sup, lq_spacetime, sup_t_spatial_l1
-from parabolab.reductions import pairwise_sum
+from parabolab.fields import Field
+from parabolab.norms import exp_or_inf, log_power_sums, lq_spacetime, sup_t_spatial_l1
 
-EXP_ARG_LIMIT = 700.0  # exp overflows near 709.8; leave headroom
 LADDER_CAP = 512.0
 ALPHA_CANDIDATES = tuple(2.0 ** -k for k in range(9))  # moment rates, largest first
 
 
 @dataclass(frozen=True)
 class NormalizedPair:
-    """u = phi1/scale and g = f/scale with scale = max(|f|_{1+N/2}, 1)."""
-    u: Field
-    g: Field
+    """u = phi1/scale as a plain array, with scale = max(|f|_{1+N/2}, 1)."""
+    u: np.ndarray
     scale: float
+    f_norm_crit: float    # |f|_{1+N/2}
 
 
 @dataclass(frozen=True)
@@ -72,67 +75,46 @@ class BoundReport:
     final_exponent: float
 
 
-def _quasi_norm(field: Field, p: float) -> float:
-    """Raw space-time L^p for any p > 0 (quasi-norm below 1)."""
-    vals = np.abs(field.values[1:])
-    weight = field.grid.cell_volume * field.grid.dt
-    return _lq_core(vals, float(p), weight, vals.size, "raw")
-
-
 def normalize(phi1: Field, f: Field) -> NormalizedPair:
-    """Scale the forced solution and forcing by max(|f|_{1+N/2}, 1)."""
+    """Scale the forced solution by max(|f|_{1+N/2}, 1)."""
     if phi1.grid != f.grid:
         raise DomainError("phi1 and f must share one grid")
     N = phi1.grid.dim
-    scale = max(lq_spacetime(f, 1.0 + N / 2.0), 1.0)
-    u = Field(phi1.grid, phi1.values / scale, phi1.kind)
-    g = Field(f.grid, f.values / scale, f.kind)
-    return NormalizedPair(u, g, scale)
+    f_norm_crit = lq_spacetime(f, 1.0 + N / 2.0)
+    scale = max(f_norm_crit, 1.0)
+    return NormalizedPair(phi1.values / scale, scale, f_norm_crit)
 
 
-def exp_change(u: Field):
-    """v = exp(u), w = max(v, 1); w >= 1 everywhere."""
-    top = float(np.max(u.values))
-    if top > EXP_ARG_LIMIT:
-        raise RangeError(
-            f"exp change would overflow: max u = {top:.6g} (normalize the forcing first)")
-    v = np.exp(u.values)
-    w = np.maximum(v, 1.0)
-    return Field(u.grid, v, u.kind), Field(u.grid, w, u.kind)
+def exp_moment(u: np.ndarray, alphas, weight: float, N: int = None) -> dict:
+    """alpha -> quadrature of exp(alpha * (1 + 2/N) * u) over the space-time box.
+
+    u holds every time level, the initial one first; the quadrature runs
+    over the later levels with weight (cell volume * dt) per sample.  A
+    moment whose log passes LOG_FLOAT_MAX is inf.
+    """
+    if not all(a > 0.0 for a in alphas):
+        raise DomainError(f"every alpha must be positive, got {list(alphas)}")
+    if N not in (None, u.ndim - 1):
+        raise DomainError(f"N={N} disagrees with the samples' dimension {u.ndim - 1}")
+    rates = [a * (1.0 + 2.0 / (u.ndim - 1)) for a in alphas]
+    log_weight = math.log(weight)
+    return {a: exp_or_inf(log_sum + log_weight)
+            for a, log_sum in zip(alphas, log_power_sums(u[1:], rates))}
 
 
-def exp_moment(u: Field, alpha: float, N: int = None) -> float:
-    """Quadrature of exp(alpha * (1 + 2/N) * u) over the space-time box."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if u.kind != SPACETIME:
-        raise DomainError("exp_moment requires a spacetime field")
-    if N is None:
-        N = u.grid.dim
-    elif N != u.grid.dim:
-        raise DomainError(f"N={N} disagrees with the field's dimension {u.grid.dim}")
-    rate = alpha * (1.0 + 2.0 / N)
-    top = rate * float(np.max(u.values[1:]))
-    if top > EXP_ARG_LIMIT:
-        raise RangeError(
-            f"exponential moment overflows at alpha = {alpha:.6g} "
-            f"(argument reaches {top:.6g}); alpha is too large for this field")
-    weight = u.grid.cell_volume * u.grid.dt
-    return pairwise_sum(np.exp(rate * u.values[1:])) * weight
-
-
-def l1_check(u: Field, g: Field):
+def l1_check(u: np.ndarray, f: Field, scale: float = 1.0):
     """Discrete L^1 contraction: sup_t int |u| dx against int int |g| dx dt.
 
-    The continuum inequality is exact; the discrete one is allowed the
-    scheme-error slack 10 * (max(h)^2 + dt) on top of a 1e-6 relative
-    tolerance.  Returns (lhs, rhs, passed).
+    u = phi1/scale lives on f's grid and g = f/scale, so int int |g| is
+    |f|_1/scale.  The continuum inequality is exact; the discrete one is
+    allowed the scheme-error slack 10 * (max(h)^2 + dt) on top of a 1e-6
+    relative tolerance.  Returns (lhs, rhs, passed).
     """
-    if u.grid != g.grid:
-        raise DomainError("u and g must share one grid")
-    lhs = sup_t_spatial_l1(u)
-    rhs = lq_spacetime(g, 1.0)
-    grid = u.grid
+    grid = f.grid
+    if np.shape(u) != grid.shape_spacetime:
+        raise DomainError("u must be sampled on the space-time grid of f")
+    lhs = sup_t_spatial_l1(u, grid.cell_volume)
+    rhs = lq_spacetime(f, 1.0) / scale
     slack = 10.0 * (max(grid.h) ** 2 + grid.dt)
     passed = lhs <= rhs * (1.0 + 1e-6) + slack
     return lhs, rhs, bool(passed)
@@ -159,17 +141,19 @@ def ladder(beta0: float, q: float, N: int, i_max: int = 12):
     return [base * c ** i for i in range(int(i_max) + 1)]
 
 
-def trace(w: Field, beta0: float, q: float, N: int = None, i_max: int = 12) -> MoserTrace:
-    """Climb the ladder of averaged norms of w and extrapolate the sup.
+def trace(u: np.ndarray, beta0: float, q: float, N: int = None, i_max: int = 12) -> MoserTrace:
+    """Climb the ladder of averaged norms of w = max(e^u, 1) and extrapolate the sup.
 
-    Rungs with exponent above 512 are dropped (truncation flagged):
+    u holds every time level, the initial one first; the rungs average
+    over the later levels and measured_sup = max(e^max u, 1) runs over
+    all.  Rungs with exponent above 512 are dropped (truncation flagged):
     beyond that the averaged norm is within floating noise of the ess
     sup.  The extrapolation multiplies the last norm by the geometric
     tail of the final log-ratio, exact for fields whose log-norm decays
     like 1/p, and is clamped to be >= the last rung.
     """
     if N is None:
-        N = w.grid.dim
+        N = u.ndim - 1
     c = chi(N, q)
     exps = ladder(beta0, q, N, i_max)
     kept = [p for p in exps if p <= LADDER_CAP]
@@ -177,18 +161,12 @@ def trace(w: Field, beta0: float, q: float, N: int = None, i_max: int = 12) -> M
     if not kept:
         raise DomainError(f"every ladder exponent exceeds the cap {LADDER_CAP}")
 
-    vals = np.abs(w.values[1:])
-    weight = w.grid.cell_volume * w.grid.dt
-    count = vals.size
-    logs = None
-    if any(p >= 32.0 for p in kept):
-        positive = vals[vals > 0]
-        logs = np.log(positive) if positive.size else positive
-
+    positive = np.maximum(u[1:], 0.0)
+    log_count = math.log(positive.size)
     rungs = []
     prev = None
-    for i, p in enumerate(kept):
-        norm = _lq_core(vals, p, weight, count, "averaged", logs)
+    for i, (p, log_sum) in enumerate(zip(kept, log_power_sums(positive, kept))):
+        norm = exp_or_inf((log_sum - log_count) / p)
         ratio = 1.0 if prev is None else norm / prev
         rungs.append(LadderRung(i, p, norm, ratio))
         prev = norm
@@ -198,7 +176,8 @@ def trace(w: Field, beta0: float, q: float, N: int = None, i_max: int = 12) -> M
     if last.ratio > 0.0:
         extrapolated = last.norm * math.exp(math.log(last.ratio) / (c - 1.0))
     extrapolated = max(extrapolated, last.norm)
-    return MoserTrace(beta0, c, tuple(rungs), extrapolated, ess_sup(w), truncated)
+    measured = exp_or_inf(max(float(np.max(u)), 0.0))
+    return MoserTrace(beta0, c, tuple(rungs), extrapolated, measured, truncated)
 
 
 def exponents(beta0: float, q: float, N: int, alpha: float):
@@ -215,18 +194,21 @@ def exponents(beta0: float, q: float, N: int, alpha: float):
     return alpha0, r, final
 
 
-def interpolation_check(w: Field, r: float, alpha: float):
-    """|w|_r <= |w|_inf^((r-alpha)/r) * |w|_alpha^(alpha/r), raw norms.
+def interpolation_check(u: np.ndarray, r: float, alpha: float, weight: float):
+    """|w|_r <= |w|_inf^((r-alpha)/r) * |w|_alpha^(alpha/r) for w = max(e^u, 1).
 
-    Holds for any 0 < alpha < r (the alpha < 1 range is a quasi-norm;
-    the inequality is pointwise).  Returns (lhs, rhs, passed) with
-    relative slack 1e-10; constant fields give equality.
+    Raw norms of the levels after the first, weight (cell volume * dt) per
+    sample; |w|_inf runs over all.  Holds for any 0 < alpha < r (alpha < 1
+    is a quasi-norm; the inequality is pointwise).  Returns (lhs, rhs,
+    passed) with relative slack 1e-10; constant fields give equality.
     """
     if not 0.0 < alpha < r:
         raise DomainError(f"need 0 < alpha < r, got alpha={alpha}, r={r}")
-    lhs = _quasi_norm(w, r)
-    sup = ess_sup(w)
-    rhs = sup ** ((r - alpha) / r) * _quasi_norm(w, alpha) ** (alpha / r)
+    log_r, log_alpha = log_power_sums(np.maximum(u[1:], 0.0), (r, alpha))
+    log_weight = math.log(weight)
+    log_sup = max(float(np.max(u)), 0.0)
+    lhs = exp_or_inf((log_r + log_weight) / r)
+    rhs = exp_or_inf(log_sup * (r - alpha) / r + (log_alpha + log_weight) / r)
     passed = lhs <= rhs * (1.0 + 1e-10)
     return lhs, rhs, bool(passed)
 

@@ -9,12 +9,16 @@ from integral norms, while sup-type functionals run over every sample.
 All reductions go through :func:`parabolab.reductions.pairwise_sum`,
 whose order depends only on the element count, so norms are
 bit-reproducible on one numpy build regardless of thread count.
-Exponents p >= 32 are evaluated in log space (a shifted log-sum-exp of
-p * log|v|) to dodge overflow; smaller exponents use direct powers and
-raise :class:`RangeError` if they overflow.
+
+Every sum of exp(p * x) goes through one log-space kernel,
+:func:`log_power_sums`: norms with p >= 32 (on x = log|v|) and the whole
+Moser chain.  A value whose log passes LOG_FLOAT_MAX (about 709.78) is
+inf.  Exponents p < 32 use direct powers and raise :class:`RangeError`
+if they overflow.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,36 +27,35 @@ from parabolab.fields import SPACETIME, Field
 from parabolab.reductions import pairwise_sum
 
 LOG_SPACE_THRESHOLD = 32.0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _lq_core(abs_values: np.ndarray, p: float, weight: float, count: int,
-             normalization: str, logs: np.ndarray = None) -> float:
-    """Shared norm kernel; accepts any p > 0 (callers police p >= 1)."""
-    if normalization not in ("raw", "averaged"):
-        raise DomainError(f"normalization must be 'raw' or 'averaged', got {normalization!r}")
-    if p >= LOG_SPACE_THRESHOLD:
-        if logs is None:
-            positive = abs_values[abs_values > 0]
-            if positive.size == 0:
-                return 0.0
-            logs = np.log(positive)
-        elif logs.size == 0:
-            return 0.0
-        scaled = p * logs
-        shift = float(np.max(scaled))
-        log_sum = shift + math.log(pairwise_sum(np.exp(scaled - shift)))
-        if normalization == "raw":
-            return math.exp((log_sum + math.log(weight)) / p)
-        return math.exp((log_sum - math.log(count)) / p)
-    with np.errstate(over="ignore"):
-        total = pairwise_sum(abs_values ** p)
-    if not math.isfinite(total):
-        raise RangeError(
-            f"L^{p} accumulation overflowed; use normalization='averaged' on a "
-            "normalized field, or an exponent >= 32 for the log-space path")
-    if normalization == "raw":
-        return (total * weight) ** (1.0 / p)
-    return (total / count) ** (1.0 / p)
+def exp_or_inf(log_value: float) -> float:
+    """exp(log_value), or inf once log_value passes LOG_FLOAT_MAX."""
+    return math.exp(log_value) if log_value <= LOG_FLOAT_MAX else math.inf
+
+
+def log_power_sums(x: np.ndarray, exponents) -> list:
+    """log sum_i exp(p * x_i) over a finite x, for each p > 0, reading x once.
+
+    Zeros of x add exactly 1 each and enter as a count; the other samples
+    are shifted by their max (or by 0 when zeros exist and 0 is larger),
+    so nothing overflows.  An empty x gives -inf.
+    """
+    flat = np.ravel(x)
+    support = flat[flat != 0.0]
+    zeros = flat.size - support.size
+    if support.size == 0:
+        return [math.log(zeros) if zeros else -math.inf for _ in exponents]
+    top = max(float(np.max(support)), 0.0) if zeros else float(np.max(support))
+    support -= top
+    scaled = np.empty_like(support)
+    out = []
+    for p in exponents:
+        np.exp(np.multiply(support, p, out=scaled), out=scaled)
+        total = pairwise_sum(scaled) + (zeros * math.exp(-p * top) if zeros else 0.0)
+        out.append(p * top + math.log(total))
+    return out
 
 
 def lq_spacetime(field: Field, p: float, normalization: str = "raw") -> float:
@@ -67,9 +70,24 @@ def lq_spacetime(field: Field, p: float, normalization: str = "raw") -> float:
         raise DomainError("lq_spacetime requires a spacetime field")
     if not p >= 1.0 or not math.isfinite(p):
         raise DomainError(f"exponent must satisfy 1 <= p < infinity, got {p}")
+    if normalization not in ("raw", "averaged"):
+        raise DomainError(f"normalization must be 'raw' or 'averaged', got {normalization!r}")
+    p = float(p)
     vals = np.abs(field.values[1:])
     weight = field.grid.cell_volume * field.grid.dt
-    return _lq_core(vals, float(p), weight, vals.size, normalization)
+    if p >= LOG_SPACE_THRESHOLD:
+        log_sum, = log_power_sums(np.log(vals[vals > 0]), [p])
+        log_measure = math.log(weight) if normalization == "raw" else -math.log(vals.size)
+        return math.exp((log_sum + log_measure) / p)
+    with np.errstate(over="ignore"):
+        total = pairwise_sum(vals ** p)
+    if not math.isfinite(total):
+        raise RangeError(
+            f"L^{p} accumulation overflowed; use normalization='averaged' on a "
+            "normalized field, or an exponent >= 32 for the log-space path")
+    if normalization == "raw":
+        return (total * weight) ** (1.0 / p)
+    return (total / vals.size) ** (1.0 / p)
 
 
 def ess_sup(field: Field) -> float:
@@ -77,14 +95,9 @@ def ess_sup(field: Field) -> float:
     return float(np.max(np.abs(field.values)))
 
 
-def sup_t_spatial_l1(field: Field) -> float:
-    """sup over time levels of the spatial L^1 norm of one slice."""
-    if field.kind != SPACETIME:
-        raise DomainError("sup_t_spatial_l1 requires a spacetime field")
-    cellvol = field.grid.cell_volume
-    best = 0.0
-    for n in range(field.grid.nt + 1):
-        slice_l1 = pairwise_sum(np.abs(field.values[n])) * cellvol
-        if slice_l1 > best:
-            best = slice_l1
-    return best
+def sup_t_spatial_l1(values: np.ndarray, cell_volume: float) -> float:
+    """sup over time levels of the spatial L^1 norm of one slice.
+
+    values holds one spatial slice per time level, the initial one first.
+    """
+    return max((pairwise_sum(np.abs(level)) for level in values), default=0.0) * cell_volume

@@ -122,13 +122,13 @@ def test_criterion_3_l1_estimate_on_corpus():
     for spec, f in _mms_l1_cases():
         forced, _ = solve_split(spec)
         pair = normalize(forced.phi, f)
-        results.append(l1_check(pair.u, pair.g)[2])
+        results.append(l1_check(pair.u, f, pair.scale)[2])
     rng = np.random.default_rng(99)
     for _ in range(20):
         spec = _random_spec(rng, signed_f=True)
         forced, _ = solve_split(spec)
         pair = normalize(forced.phi, spec.f)
-        results.append(l1_check(pair.u, pair.g)[2])
+        results.append(l1_check(pair.u, spec.f, pair.scale)[2])
     ok = all(results)
     _verdict(3, "L1 estimate holds on manufactured + 20 random specs", ok,
              f" ({sum(results)}/{len(results)} passed)")
@@ -204,10 +204,10 @@ def test_criterion_7_interpolation_inequality(acceptance_sweep):
     result, measured, _ = acceptance_sweep
     # the number of sweep fields that fail the inequality
     ok = bool(result.diagnoses) and measured["interpolation"] == 0
-    # constant fields realize equality
+    # constant fields realize equality: w = 2.5 is u = log 2.5
     g = make_grid([(0.0, 1.0)], [8], 0.5, 4)
-    w = Field(g, np.full(g.shape_spacetime, 2.5), SPACETIME)
-    lhs, rhs, passed = interpolation_check(w, 8.0 / 3.0, 1.0)
+    u = np.full(g.shape_spacetime, math.log(2.5))
+    lhs, rhs, passed = interpolation_check(u, 8.0 / 3.0, 1.0, g.cell_volume * g.dt)
     ok = ok and passed and abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
     _verdict(7, "interpolation inequality holds (equality for constants)", ok,
              f" ({len(result.diagnoses)} sweep fields + constant case)")

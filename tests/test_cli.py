@@ -111,8 +111,9 @@ def test_missing_config_is_a_usage_error():
 
 
 @pytest.mark.parametrize("line, value, key", [("T = 0.5", "T = abc", "grid.T"),
-                                              ("tol = 1e-10", "tol = 1e-1O", "solver.tol")],
-                         ids=["T", "tol"])
+                                              ("tol = 1e-10", "tol = 1e-1O", "solver.tol"),
+                                              ("nx = 32,32", "nx = 32.9,32", "grid.nx")],
+                         ids=["T", "tol", "nx"])
 def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
     text = open(DEMO).read()
     assert line in text

@@ -176,6 +176,21 @@ def test_run_sweep_skips_a_failed_solve_for_every_thread_count(monkeypatch):
         assert result.skipped == ((0.25, "stalled"),)
 
 
+def test_run_sweep_skips_a_row_whose_q_norm_overflows():
+    # |f|_30 is a direct power sum: the bump peaks near 1.2e10 at
+    # eps = 2^-1.5 (sum near 1e304) and twice that at eps = 1/4, whose
+    # sum of |f|^30 passes the largest double
+    _, spec = _small_template()
+    spec = replace(spec, q=30.0)
+    fam = BumpFamily((0.375, 0.375), 0.13, 2.0, 4e9)
+    for threads in (1, 2):
+        result = run_sweep(spec, fam, [2.0 ** -1.5, 0.25], threads=threads)
+        assert [row.eps for row in result.rows] == [2.0 ** -1.5]
+        assert len(result.diagnoses) == 1
+        assert [eps for eps, _ in result.skipped] == [0.25]
+        assert "L^30.0 accumulation overflowed" in result.skipped[0][1]
+
+
 def test_sweep_checks_measure_what_they_gate():
     # sup|phi| / |f|_q = 0.5, 0.375, 0.4375: the last step rises by 7/6
     rows = tuple(SweepRow(eps, 1.0, fq, sup, c, m, 0.0, 1.0) for eps, fq, sup, c, m in (

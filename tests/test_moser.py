@@ -1,4 +1,8 @@
-"""Iteration machinery: normalization, exponential change, ladder, bound."""
+"""Iteration machinery: normalization, exponential change, ladder, bound.
+
+The chain reads w = max(e^u, 1) through u, so a constant w = c is the
+constant u = log c.
+"""
 
 import math
 
@@ -9,8 +13,8 @@ from parabolab.errors import (ConsistencyError, DomainError, RangeError)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
 from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
-                             exp_change, exp_moment, exponents, interpolation_check,
-                             l1_check, ladder, normalize, trace, trace_to_csv)
+                             exp_moment, exponents, interpolation_check, l1_check, ladder,
+                             normalize, trace, trace_to_csv)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.solver import solve_split
 
@@ -24,6 +28,15 @@ def _grid():
     return make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 6)
 
 
+def _log_const(g, c):
+    """u = log c on every space-time sample, so that w = max(e^u, 1) = c for c >= 1."""
+    return np.full(g.shape_spacetime, math.log(c))
+
+
+def _weight(g):
+    return g.cell_volume * g.dt
+
+
 def test_normalize_uses_critical_norm_floored_at_one():
     g = _grid()
     phi = _const(g, 3.0)
@@ -31,37 +44,45 @@ def test_normalize_uses_critical_norm_floored_at_one():
     big = _const(g, 10.0)
     pair = normalize(phi, big)
     assert math.isclose(pair.scale, lq_spacetime(big, 2.0), rel_tol=1e-13)
-    assert math.isclose(float(pair.u.values[1, 0, 0]), 3.0 / pair.scale, rel_tol=1e-13)
+    assert math.isclose(float(pair.u[1, 0, 0]), 3.0 / pair.scale, rel_tol=1e-13)
     small = _const(g, 0.1)
     pair = normalize(phi, small)
     assert pair.scale == 1.0
-    assert np.array_equal(pair.u.values, phi.values)
+    assert np.array_equal(pair.u, phi.values)
+
+
+def _w_values(u):
+    """What the chain reads of w = max(e^u, 1): its rung norms and its sup."""
+    t = trace(u, 1.0, 4.0, i_max=6)
+    return [r.norm for r in t.ladder] + [t.measured_sup]
 
 
 def test_exp_change_constants_and_overflow():
     g = _grid()
-    v, w = exp_change(_const(g, 0.0))
-    assert np.all(v.values == 1.0) and np.all(w.values == 1.0)
-    v, w = exp_change(_const(g, math.log(2.0)))
-    assert np.allclose(v.values, 2.0) and np.allclose(w.values, 2.0)
-    v, w = exp_change(_const(g, -5.0))
-    assert np.allclose(v.values, math.exp(-5.0))
-    assert np.all(w.values == 1.0)   # w clips below 1
-    with pytest.raises(RangeError):
-        exp_change(_const(g, 701.0))
+    assert all(x == 1.0 for x in _w_values(_const(g, 0.0).values))
+    assert np.allclose(_w_values(_log_const(g, 2.0)), 2.0)
+    # v = e^u is the moment integrand at rate 1, alpha = 1/2 when N = 2
+    v = exp_moment(_const(g, -5.0).values, [0.5], _weight(g))[0.5] / g.spacetime_volume
+    assert np.allclose(v, math.exp(-5.0))
+    assert all(x == 1.0 for x in _w_values(_const(g, -5.0).values))   # w clips below 1
+    # e^701 is a double; e^710 is not, and reads inf
+    assert _w_values(_const(g, 701.0).values)[-1] == math.exp(701.0)
+    assert _w_values(_const(g, 710.0).values)[-1] == math.inf
 
 
 def test_exp_moment_of_constants():
     g = _grid()   # space-time measure 0.5
-    assert math.isclose(exp_moment(_const(g, 0.0), 1.0), 0.5, rel_tol=1e-13)
+    w = _weight(g)
+    assert math.isclose(exp_moment(_const(g, 0.0).values, [1.0], w)[1.0], 0.5, rel_tol=1e-13)
     expected = math.exp(1.0 * (1.0 + 2.0 / 2.0) * 0.3) * 0.5
-    assert math.isclose(exp_moment(_const(g, 0.3), 1.0), expected, rel_tol=1e-13)
-    with pytest.raises(RangeError):
-        exp_moment(_const(g, 300.0), 2.0)
+    assert math.isclose(exp_moment(_const(g, 0.3).values, [1.0], w)[1.0], expected,
+                        rel_tol=1e-13)
+    # exp(1200) * 0.5 overflows a double: the moment reads inf
+    assert exp_moment(_const(g, 300.0).values, [2.0], w)[2.0] == math.inf
     with pytest.raises(DomainError):
-        exp_moment(_const(g, 0.0), 0.0)
+        exp_moment(_const(g, 0.0).values, [0.0], w)
     with pytest.raises(DomainError):
-        exp_moment(_const(g, 0.0), 1.0, N=3)
+        exp_moment(_const(g, 0.0).values, [1.0], w, N=3)
 
 
 def test_l1_check_on_a_real_solution():
@@ -72,14 +93,14 @@ def test_l1_check_on_a_real_solution():
                        Field.zeros(g, TIMESLICE))
     forced, _ = solve_split(spec)
     pair = normalize(forced.phi, f)
-    lhs, rhs, passed = l1_check(pair.u, pair.g)
+    lhs, rhs, passed = l1_check(pair.u, f, pair.scale)
     assert passed
     assert lhs < rhs   # real margin, not just slack
 
 
 def test_l1_check_rejects_fabricated_state():
     g = _grid()
-    lhs, rhs, passed = l1_check(_const(g, 50.0), _const(g, 0.0))
+    lhs, rhs, passed = l1_check(_const(g, 50.0).values, _const(g, 0.0))
     assert not passed and lhs > rhs
 
 
@@ -121,7 +142,7 @@ def test_exponents_closed_forms():
 def test_trace_on_constant_fields_is_flat():
     g = _grid()
     for c in (1.0, 2.0):
-        t = trace(_const(g, c), 1.0, 4.0, i_max=6)
+        t = trace(_log_const(g, c), 1.0, 4.0, i_max=6)
         assert all(math.isclose(r.norm, c, rel_tol=1e-12) for r in t.ladder)
         assert all(math.isclose(r.ratio, 1.0, rel_tol=1e-12) for r in t.ladder[1:])
         assert t.ladder[0].ratio == 1.0
@@ -133,8 +154,7 @@ def test_trace_on_constant_fields_is_flat():
 def test_trace_rungs_nondecreasing_on_random_field():
     rng = np.random.default_rng(17)
     g = _grid()
-    w = Field(g, np.exp(rng.normal(size=g.shape_spacetime)), SPACETIME)
-    t = trace(w, 1.0, 4.0, i_max=10)
+    t = trace(rng.normal(size=g.shape_spacetime), 1.0, 4.0, i_max=10)
     norms = [r.norm for r in t.ladder]
     for a, b in zip(norms, norms[1:]):
         assert b >= a * (1.0 - 1e-12)
@@ -144,7 +164,7 @@ def test_trace_rungs_nondecreasing_on_random_field():
 
 def test_trace_flags_ladder_truncation():
     g = _grid()
-    t = trace(_const(g, 1.5), 1.0, 4.0, i_max=30)
+    t = trace(_log_const(g, 1.5), 1.0, 4.0, i_max=30)
     assert t.truncated
     assert t.ladder[-1].exponent <= 512.0
     assert len(t.ladder) < 31
@@ -152,7 +172,7 @@ def test_trace_flags_ladder_truncation():
 
 def test_trace_csv_has_rung_rows_and_footer():
     g = _grid()
-    text = trace_to_csv(trace(_const(g, 2.0), 1.0, 4.0, i_max=4))
+    text = trace_to_csv(trace(_log_const(g, 2.0), 1.0, 4.0, i_max=4))
     lines = text.strip().splitlines()
     assert lines[0] == "i,p,norm,ratio"
     assert len([ln for ln in lines if not ln.startswith("#")]) == 6
@@ -161,23 +181,17 @@ def test_trace_csv_has_rung_rows_and_footer():
 
 def test_interpolation_check_constant_equality_and_spike():
     g = _grid()
-    lhs, rhs, passed = interpolation_check(_const(g, 2.5), 8.0 / 3.0, 1.0)
+    lhs, rhs, passed = interpolation_check(_log_const(g, 2.5), 8.0 / 3.0, 1.0, _weight(g))
     assert passed
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     vals = np.ones(g.shape_spacetime)
     vals[3, 4, 4] = 50.0
-    lhs, rhs, passed = interpolation_check(Field(g, vals, SPACETIME), 8.0 / 3.0, 1.0)
+    lhs, rhs, passed = interpolation_check(np.log(vals), 8.0 / 3.0, 1.0, _weight(g))
     assert passed and lhs < rhs
 
 
 def _moment_table(u):
-    table = {}
-    for alpha in ALPHA_CANDIDATES:
-        try:
-            table[alpha] = exp_moment(u, alpha, 2)
-        except RangeError:
-            table[alpha] = math.inf
-    return table
+    return exp_moment(u.values, ALPHA_CANDIDATES, _weight(u.grid), 2)
 
 
 def test_choose_alpha_prefers_largest_admissible_power_of_two():

@@ -8,7 +8,8 @@ import pytest
 
 from parabolab.errors import DomainError, RangeError
 from parabolab.fields import SPACETIME, Field, make_grid, sample
-from parabolab.norms import LOG_SPACE_THRESHOLD, ess_sup, lq_spacetime, sup_t_spatial_l1
+from parabolab.norms import (LOG_SPACE_THRESHOLD, ess_sup, log_power_sums, lq_spacetime,
+                             sup_t_spatial_l1)
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import Stencil
 
@@ -87,6 +88,15 @@ def test_huge_values_overflow_direct_but_not_log_space():
     assert math.isclose(out, 1e30, rel_tol=1e-10)
 
 
+def test_log_power_sums_stay_finite_where_direct_sums_overflow():
+    # exp(800) and exp(-800) leave the doubles; their logs do not
+    assert log_power_sums(np.array([0.0, -800.0]), [1.0]) == [0.0]   # log(1 + e^-800)
+    big, = log_power_sums(np.array([0.0, 0.0, 800.0]), [2.0])
+    assert math.isclose(big, 1600.0, rel_tol=1e-15)
+    assert log_power_sums(np.zeros(5), [3.0]) == [math.log(5.0)]
+    assert log_power_sums(np.array([]), [3.0]) == [-math.inf]
+
+
 def test_holder_inequality():
     rng = np.random.default_rng(11)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 4)
@@ -119,7 +129,7 @@ def test_sup_t_spatial_l1_picks_worst_slice():
         vals[k] = (5 - k) * 0.5   # largest mass on the initial slice
     f = Field(g, vals, SPACETIME)
     # slice 0 participates: the estimate controls every time level
-    assert math.isclose(sup_t_spatial_l1(f), 2.5 * 2.0, rel_tol=1e-14)
+    assert math.isclose(sup_t_spatial_l1(f.values, g.cell_volume), 2.5 * 2.0, rel_tol=1e-14)
 
 
 def _hand_energy(u, g):
