@@ -32,7 +32,7 @@ from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficie
                               ProblemSpec, make_grid, sample, sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
                              exp_moment, interpolation_check, l1_check, normalize, trace)
-from parabolab.norms import ess_sup, lq_spacetime
+from parabolab.norms import ess_sup, exp_or_inf, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
 
@@ -202,31 +202,33 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     with data phi0 and no forcing.  phi1 is normalized by the critical
     forcing norm; the ladder trace, interpolation check (alpha =
     min(1, r/2)) and exponential moments of w = max(e^u, 1) then run on u
-    and on -u (on u alone when min(u) >= 0; see :mod:`parabolab.moser`).
-    The sign with the larger measured sup supplies the trace and the
-    interpolation triple; each moment keeps its larger value.
+    and, where it can win (see :mod:`parabolab.moser`), on -u.  The sign
+    with the larger measured sup supplies the trace and the interpolation
+    triple; each moment keeps its larger value.
     """
     grid = f.grid
     N = grid.dim
     weight = grid.cell_volume * grid.dt
     r = (1.0 + beta0) * q / (q - 1.0)
+    alpha = min(1.0, 0.5 * r)
     phi = phi1.values + phi2.values
     phi_sup = float(np.max(np.abs(phi, out=phi)))
     pair = normalize(phi1, f)
-    best = None  # (trace, interpolation triple)
-    moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
-    signs = [pair.u]
-    if np.min(pair.u) < 0.0:
-        signs.append(-pair.u)
-    for u in signs:
-        tr = trace(u, beta0, q, N, i_max)
-        if best is None or tr.measured_sup > best[0].measured_sup:
-            best = (tr, interpolation_check(u, r, min(1.0, 0.5 * r), weight))
-        for a, m in exp_moment(u, ALPHA_CANDIDATES, weight, N).items():
+    u = pair.u
+    tr, interpolation = trace(u, beta0, q, N, i_max), interpolation_check(u, r, alpha, weight)
+    moments = exp_moment(u, ALPHA_CANDIDATES, weight, N)
+    reach = -float(np.min(u))   # max(-u)
+    if reach > 0.0:
+        if exp_or_inf(reach) > tr.measured_sup:
+            tr, interpolation = trace(-u, beta0, q, N, i_max), interpolation_check(-u, r, alpha, weight)
+        bound = u[1:].size * weight * (1.0 + 1e-9)
+        open_rates = [a for a in ALPHA_CANDIDATES
+                      if not moments[a] > bound * exp_or_inf(a * (1.0 + 2.0 / N) * reach)]
+        for a, m in (exp_moment(-u, open_rates, weight, N) if open_rates else {}).items():
             moments[a] = max(moments[a], m)
     return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2),
                      pair.f_norm_crit, lq_spacetime(f, q), pair.scale,
-                     l1_check(pair.u, f, pair.scale), best[0], best[1], moments)
+                     l1_check(u, f, pair.scale), tr, interpolation, moments)
 
 
 # ---------------------------------------------------------------------------

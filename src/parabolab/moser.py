@@ -14,9 +14,11 @@ The chain reads w only as max(e^max u, 1) and sums of exp(p max(u, 0))
 w: rungs, quasi-norms and moments come from norms.log_power_sums.
 
 Sign handling: the sup estimate is one-sided through the exponential,
-so :func:`parabolab.experiments.diagnose` runs the pipeline on u and on
--u and keeps the larger answer.  When min(u) >= 0, -u cannot win (w(-u)
-is 1 everywhere and exp(-a u) <= exp(a u)), so only u runs.
+so :func:`parabolab.experiments.diagnose` keeps the larger answer of u
+and -u, running -u only where it can win: not at all when min(u) >= 0;
+its trace when its measured sup e^max(-u) beats u's; a moment when u's
+does not beat the bound |Omega_T| e^(rate max(-u)) on that moment of -u
+by a relative 1e-9, far above rounding.
 """
 
 import math
@@ -97,9 +99,11 @@ def exp_moment(u: np.ndarray, alphas, weight: float, N: int = None) -> dict:
     if N not in (None, u.ndim - 1):
         raise DomainError(f"N={N} disagrees with the samples' dimension {u.ndim - 1}")
     rates = [a * (1.0 + 2.0 / (u.ndim - 1)) for a in alphas]
+    later = u[1:]
+    support = later[later != 0.0]
     log_weight = math.log(weight)
-    return {a: exp_or_inf(log_sum + log_weight)
-            for a, log_sum in zip(alphas, log_power_sums(u[1:], rates))}
+    return {a: exp_or_inf(log_sum + log_weight) for a, log_sum in
+            zip(alphas, log_power_sums(support, later.size - support.size, rates))}
 
 
 def l1_check(u: np.ndarray, f: Field, scale: float = 1.0):
@@ -141,6 +145,13 @@ def ladder(beta0: float, q: float, N: int, i_max: int = 12):
     return [base * c ** i for i in range(int(i_max) + 1)]
 
 
+def _log_w(u: np.ndarray):
+    """log w = max(u, 0) after the initial level: its nonzero samples and count of zeros."""
+    later = u[1:]
+    positive = later[later > 0.0]
+    return positive, later.size - positive.size
+
+
 def trace(u: np.ndarray, beta0: float, q: float, N: int = None, i_max: int = 12) -> MoserTrace:
     """Climb the ladder of averaged norms of w = max(e^u, 1) and extrapolate the sup.
 
@@ -161,11 +172,10 @@ def trace(u: np.ndarray, beta0: float, q: float, N: int = None, i_max: int = 12)
     if not kept:
         raise DomainError(f"every ladder exponent exceeds the cap {LADDER_CAP}")
 
-    positive = np.maximum(u[1:], 0.0)
-    log_count = math.log(positive.size)
+    log_count = math.log(u[1:].size)
     rungs = []
     prev = None
-    for i, (p, log_sum) in enumerate(zip(kept, log_power_sums(positive, kept))):
+    for i, (p, log_sum) in enumerate(zip(kept, log_power_sums(*_log_w(u), kept))):
         norm = exp_or_inf((log_sum - log_count) / p)
         ratio = 1.0 if prev is None else norm / prev
         rungs.append(LadderRung(i, p, norm, ratio))
@@ -204,7 +214,7 @@ def interpolation_check(u: np.ndarray, r: float, alpha: float, weight: float):
     """
     if not 0.0 < alpha < r:
         raise DomainError(f"need 0 < alpha < r, got alpha={alpha}, r={r}")
-    log_r, log_alpha = log_power_sums(np.maximum(u[1:], 0.0), (r, alpha))
+    log_r, log_alpha = log_power_sums(*_log_w(u), (r, alpha))
     log_weight = math.log(weight)
     log_sup = max(float(np.max(u)), 0.0)
     lhs = exp_or_inf((log_r + log_weight) / r)

@@ -35,16 +35,14 @@ def exp_or_inf(log_value: float) -> float:
     return math.exp(log_value) if log_value <= LOG_FLOAT_MAX else math.inf
 
 
-def log_power_sums(x: np.ndarray, exponents) -> list:
-    """log sum_i exp(p * x_i) over a finite x, for each p > 0, reading x once.
+def log_power_sums(support: np.ndarray, zeros: int, exponents) -> list:
+    """log(zeros + sum_i exp(p * s_i)) for each p > 0, over a finite support s.
 
-    Zeros of x add exactly 1 each and enter as a count; the other samples
-    are shifted by their max (or by 0 when zeros exist and 0 is larger),
-    so nothing overflows.  An empty x gives -inf.
+    The samples of some x pass as its nonzero ones (the support) and the
+    count of its zeros, which add exactly 1 each.  The support is shifted
+    in place by its max (by 0 when zeros exist and 0 is larger), so no
+    exponential overflows.  Nothing at all gives -inf.
     """
-    flat = np.ravel(x)
-    support = flat[flat != 0.0]
-    zeros = flat.size - support.size
     if support.size == 0:
         return [math.log(zeros) if zeros else -math.inf for _ in exponents]
     top = max(float(np.max(support)), 0.0) if zeros else float(np.max(support))
@@ -58,36 +56,26 @@ def log_power_sums(x: np.ndarray, exponents) -> list:
     return out
 
 
-def lq_spacetime(field: Field, p: float, normalization: str = "raw") -> float:
-    """L^p norm of a spacetime field over Omega_T.
-
-    'raw' uses the measure dx dt (weight cellvol * dt per sample);
-    'averaged' divides the measure by |Omega_T|, i.e. returns the p-th
-    root of the p-th power mean.  A field that is identically zero has
-    norm 0 for every p.
-    """
+def lq_spacetime(field: Field, p: float) -> float:
+    """L^p norm of a spacetime field over Omega_T, measure dx dt (weight
+    cellvol * dt per sample).  An identically zero field has norm 0."""
     if field.kind != SPACETIME:
         raise DomainError("lq_spacetime requires a spacetime field")
     if not p >= 1.0 or not math.isfinite(p):
         raise DomainError(f"exponent must satisfy 1 <= p < infinity, got {p}")
-    if normalization not in ("raw", "averaged"):
-        raise DomainError(f"normalization must be 'raw' or 'averaged', got {normalization!r}")
     p = float(p)
-    vals = np.abs(field.values[1:])
+    vals = field.values[1:]
+    vals = np.abs(vals[vals != 0.0])   # zero samples add nothing to a power sum
     weight = field.grid.cell_volume * field.grid.dt
     if p >= LOG_SPACE_THRESHOLD:
-        log_sum, = log_power_sums(np.log(vals[vals > 0]), [p])
-        log_measure = math.log(weight) if normalization == "raw" else -math.log(vals.size)
-        return math.exp((log_sum + log_measure) / p)
+        log_sum, = log_power_sums(np.log(vals), 0, [p])
+        return math.exp((log_sum + math.log(weight)) / p)
     with np.errstate(over="ignore"):
         total = pairwise_sum(vals ** p)
     if not math.isfinite(total):
-        raise RangeError(
-            f"L^{p} accumulation overflowed; use normalization='averaged' on a "
-            "normalized field, or an exponent >= 32 for the log-space path")
-    if normalization == "raw":
-        return (total * weight) ** (1.0 / p)
-    return (total / vals.size) ** (1.0 / p)
+        raise RangeError(f"L^{p} accumulation overflowed; normalize the field, "
+                         "or use an exponent >= 32 for the log-space path")
+    return (total * weight) ** (1.0 / p)
 
 
 def ess_sup(field: Field) -> float:

@@ -21,6 +21,11 @@ def _ramp_field():
     return g, Field(g, vals, SPACETIME)
 
 
+def _averaged(f, p):
+    """p-th root of the p-th power mean: the norm over |Omega_T|^(1/p)."""
+    return lq_spacetime(f, p) / f.grid.spacetime_volume ** (1.0 / p)
+
+
 def test_lq_matches_handwritten_quadrature():
     g, f = _ramp_field()
     # independent right-endpoint midpoint sum, plain loops
@@ -46,7 +51,7 @@ def test_constant_field_norms():
     vol = 2.0 * 0.5
     for p in (1.0, 2.0, 5.0, 16.0, 64.0):
         assert math.isclose(lq_spacetime(f, p), c * vol ** (1.0 / p), rel_tol=1e-12)
-        assert math.isclose(lq_spacetime(f, p, "averaged"), c, rel_tol=1e-12)
+        assert math.isclose(_averaged(f, p), c, rel_tol=1e-12)
     assert ess_sup(f) == c
 
 
@@ -55,7 +60,7 @@ def test_averaged_norms_nondecreasing_in_p():
     g = make_grid([(0.0, 1.0)], [32], 1.0, 16)
     f = Field(g, rng.uniform(0.0, 2.0, g.shape_spacetime), SPACETIME)
     ps = [1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 64.0]
-    ns = [lq_spacetime(f, p, "averaged") for p in ps]
+    ns = [_averaged(f, p) for p in ps]
     for a, b in zip(ns, ns[1:]):
         assert b >= a * (1.0 - 1e-12)
     assert ns[-1] <= ess_sup(f) * (1.0 + 1e-12)
@@ -75,7 +80,7 @@ def test_log_space_path_agrees_with_direct():
 def test_high_p_closes_on_ess_sup():
     g = make_grid([(0.0, 1.0)], [64], 1.0, 16)
     f = sample(lambda x, t: np.sin(math.pi * x), g)
-    gap = abs(lq_spacetime(f, 64.0, "averaged") - ess_sup(f)) / ess_sup(f)
+    gap = abs(_averaged(f, 64.0) - ess_sup(f)) / ess_sup(f)
     assert gap < 0.05
 
 
@@ -84,17 +89,17 @@ def test_huge_values_overflow_direct_but_not_log_space():
     f = Field(g, np.full(g.shape_spacetime, 1e30), SPACETIME)
     with pytest.raises(RangeError):
         lq_spacetime(f, 16.0)
-    out = lq_spacetime(f, 64.0, "averaged")
+    out = _averaged(f, 64.0)
     assert math.isclose(out, 1e30, rel_tol=1e-10)
 
 
 def test_log_power_sums_stay_finite_where_direct_sums_overflow():
     # exp(800) and exp(-800) leave the doubles; their logs do not
-    assert log_power_sums(np.array([0.0, -800.0]), [1.0]) == [0.0]   # log(1 + e^-800)
-    big, = log_power_sums(np.array([0.0, 0.0, 800.0]), [2.0])
+    assert log_power_sums(np.array([-800.0]), 1, [1.0]) == [0.0]   # log(1 + e^-800)
+    big, = log_power_sums(np.array([800.0]), 2, [2.0])
     assert math.isclose(big, 1600.0, rel_tol=1e-15)
-    assert log_power_sums(np.zeros(5), [3.0]) == [math.log(5.0)]
-    assert log_power_sums(np.array([]), [3.0]) == [-math.inf]
+    assert log_power_sums(np.array([]), 5, [3.0]) == [math.log(5.0)]
+    assert log_power_sums(np.array([]), 0, [3.0]) == [-math.inf]
 
 
 def test_holder_inequality():
@@ -118,8 +123,6 @@ def test_zero_field_and_bad_exponent():
     assert ess_sup(z) == 0.0
     with pytest.raises(DomainError):
         lq_spacetime(z, 0.5)
-    with pytest.raises(DomainError):
-        lq_spacetime(z, 2.0, "weird")
 
 
 def test_sup_t_spatial_l1_picks_worst_slice():
