@@ -219,6 +219,8 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     moments = exp_moment(u, ALPHA_CANDIDATES, weight, N)
     reach = -float(np.min(u))   # max(-u)
     if reach > 0.0:
+        # -u's measured sup is e^max(-u), and each of its moments is at most
+        # |Omega_T| e^(rate max(-u)); 1e-9 is far above the rounding of either side
         if exp_or_inf(reach) > tr.measured_sup:
             tr, interpolation = trace(-u, beta0, q, N, i_max), interpolation_check(-u, r, alpha, weight)
         bound = u[1:].size * weight * (1.0 + 1e-9)

@@ -49,9 +49,11 @@ def test_constant_field_norms():
     c = 3.7
     f = Field(g, np.full(g.shape_spacetime, c), SPACETIME)
     vol = 2.0 * 0.5
+    negative = Field(g, -f.values, SPACETIME)
     for p in (1.0, 2.0, 5.0, 16.0, 64.0):
         assert math.isclose(lq_spacetime(f, p), c * vol ** (1.0 / p), rel_tol=1e-12)
         assert math.isclose(_averaged(f, p), c, rel_tol=1e-12)
+        assert lq_spacetime(negative, p) == lq_spacetime(f, p)
     assert ess_sup(f) == c
 
 
