@@ -23,7 +23,7 @@ the final bound.
 from parabolab.fields import Grid, Field, MatrixCoefficient, ProblemSpec, make_grid, sample, sample_initial, validate
 from parabolab.solver import SolveOptions, Solution, solve_ibvp, solve_split
 from parabolab.norms import lq_spacetime, ess_sup, sup_t_spatial_l1
-from parabolab.moser import normalize, exp_moment, l1_check, chi, ladder, exponents, trace, interpolation_check, assemble_bound
+from parabolab.moser import exp_moment, l1_check, chi, ladder, exponents, trace, interpolation_check, assemble_bound
 from parabolab.constants import build_ledger
 from parabolab.experiments import BumpFamily, bump, diagnose, run_sweep, fit_log_law
 
@@ -34,7 +34,7 @@ __all__ = [
     "make_grid", "sample", "sample_initial", "validate",
     "SolveOptions", "Solution", "solve_ibvp", "solve_split",
     "lq_spacetime", "ess_sup", "sup_t_spatial_l1",
-    "normalize", "exp_moment", "l1_check", "chi", "ladder",
+    "exp_moment", "l1_check", "chi", "ladder",
     "exponents", "trace", "interpolation_check", "assemble_bound",
     "build_ledger",
     "BumpFamily", "bump", "diagnose", "run_sweep", "fit_log_law",

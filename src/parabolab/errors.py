@@ -26,7 +26,7 @@ class DomainError(ValueError):
 
 
 class RangeError(ArithmeticError):
-    """A norm or exponential evaluation would overflow in double precision."""
+    """Every candidate moment rate overflows in double precision (alpha selection)."""
 
 
 class SolverError(RuntimeError):

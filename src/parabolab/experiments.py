@@ -26,12 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from parabolab.errors import (ConfigurationError, FitError, RangeError,
-                              ResolutionError, SolverError)
+from parabolab.errors import (ConfigurationError, DomainError, FitError, ResolutionError,
+                              SolverError)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
                               ProblemSpec, make_grid, sample, sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
-                             exp_moment, interpolation_check, l1_check, normalize, trace)
+                             exp_moment, interpolation_check, l1_check, trace)
 from parabolab.norms import ess_sup, exp_or_inf, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
@@ -188,7 +188,7 @@ class Diagnosis:
     f_norm_crit: float     # |f|_{1+N/2}
     f_norm_q: float        # |f|_q
     scale: float           # normalization max(|f|_{1+N/2}, 1)
-    l1: tuple              # l1_check (lhs, rhs, passed) of the normalized pair
+    l1: tuple              # l1_check (lhs, rhs, passed) of u = phi1/scale
     trace: MoserTrace      # ladder trace of the dominant sign
     interpolation: tuple   # interpolation_check (lhs, rhs, passed), dominant sign
     moments: dict          # alpha -> max exp_moment over both signs, inf on overflow
@@ -199,13 +199,19 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     """Run the diagnostic chain on the forced part phi1 and drift phi2.
 
     phi1 solves the problem with forcing f and zero data, phi2 the one
-    with data phi0 and no forcing.  phi1 is normalized by the critical
-    forcing norm; the ladder trace, interpolation check (alpha =
-    min(1, r/2)) and exponential moments of w = max(e^u, 1) then run on u
-    and, where it can win (see :mod:`parabolab.moser`), on -u.  The sign
-    with the larger measured sup supplies the trace and the interpolation
-    triple; each moment keeps its larger value.
+    with data phi0 and no forcing; phi1 and f share one grid.  |f|_1,
+    |f|_{1+N/2} and |f|_q come from one read of f's support, and phi1 is
+    normalized to u = phi1 / scale with scale = max(|f|_{1+N/2}, 1).
+    The L^1 check compares u with |f|_1/scale; the ladder trace,
+    interpolation check (alpha = min(1, r/2)) and exponential moments of
+    w = max(e^u, 1) run on u and, where it can win (see
+    :mod:`parabolab.moser`), on -u.  The sign with the larger measured
+    sup supplies the trace and the interpolation triple; each moment
+    keeps its larger value.  Every norm that passes the largest double
+    reads inf, so nothing here raises RangeError.
     """
+    if phi1.grid != f.grid:
+        raise DomainError("phi1 and f must share one grid")
     grid = f.grid
     N = grid.dim
     weight = grid.cell_volume * grid.dt
@@ -213,24 +219,24 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     alpha = min(1.0, 0.5 * r)
     phi = phi1.values + phi2.values
     phi_sup = float(np.max(np.abs(phi, out=phi)))
-    pair = normalize(phi1, f)
-    u = pair.u
-    tr, interpolation = trace(u, beta0, q, N, i_max), interpolation_check(u, r, alpha, weight)
-    moments = exp_moment(u, ALPHA_CANDIDATES, weight, N)
+    f_norm_1, f_norm_crit, f_norm_q = lq_spacetime(f, (1.0, 1.0 + N / 2.0, q))
+    scale = max(f_norm_crit, 1.0)
+    u = phi1.values / scale
+    tr, interpolation = trace(u, beta0, q, i_max), interpolation_check(u, r, alpha, weight)
+    moments = exp_moment(u, ALPHA_CANDIDATES, weight)
     reach = -float(np.min(u))   # max(-u)
     if reach > 0.0:
         # -u's measured sup is e^max(-u), and each of its moments is at most
         # |Omega_T| e^(rate max(-u)); 1e-9 is far above the rounding of either side
         if exp_or_inf(reach) > tr.measured_sup:
-            tr, interpolation = trace(-u, beta0, q, N, i_max), interpolation_check(-u, r, alpha, weight)
+            tr, interpolation = trace(-u, beta0, q, i_max), interpolation_check(-u, r, alpha, weight)
         bound = u[1:].size * weight * (1.0 + 1e-9)
         open_rates = [a for a in ALPHA_CANDIDATES
                       if not moments[a] > bound * exp_or_inf(a * (1.0 + 2.0 / N) * reach)]
-        for a, m in (exp_moment(-u, open_rates, weight, N) if open_rates else {}).items():
+        for a, m in (exp_moment(-u, open_rates, weight) if open_rates else {}).items():
             moments[a] = max(moments[a], m)
-    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2),
-                     pair.f_norm_crit, lq_spacetime(f, q), pair.scale,
-                     l1_check(u, f, pair.scale), tr, interpolation, moments)
+    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
+                     l1_check(u, grid, f_norm_1 / scale), tr, interpolation, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +262,7 @@ class SweepResult:
     fit_note: str
     alpha: float           # selected moment rate
     diagnoses: tuple       # Diagnosis per row
-    skipped: tuple         # (eps, reason) for rows whose solve or diagnosis failed
+    skipped: tuple         # (eps, reason) for rows whose solve failed
 
 
 def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
@@ -266,7 +272,9 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
 
     The template's forcing is replaced by the family member at each eps;
     everything else (grid, coefficients, initial data, q) is shared.
-    Every eps passes :func:`check_bump` before the first solve.  alpha
+    Every eps passes :func:`check_bump` before the first solve.  A row
+    whose solve raises :class:`SolverError` goes to ``skipped`` with the
+    error's text; :func:`diagnose` raises nothing on a solved row.  alpha
     is chosen once for the whole sweep: the largest 2^-k below r whose
     exponential moments stay within moment_cap * |Omega_T| on every row
     and both signs.
@@ -280,14 +288,13 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
         check_bump(eps, (*family.center, family.t0), grid)
 
     def attempt(eps):
-        """(eps, Diagnosis, None), or (eps, None, reason) when the solver fails
-        or a norm of the row overflows."""
+        """(eps, Diagnosis, None), or (eps, None, reason) when the solver fails."""
         f = family.field(eps, grid)
         try:
             forced, drift = solve_split(replace(template, f=f), opts=opts)
-            return eps, diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max), None
-        except (SolverError, RangeError) as err:
+        except SolverError as err:
             return eps, None, str(err)
+        return eps, diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max), None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -130,18 +130,13 @@ def make_grid(box, nx, T, nt) -> Grid:
     return Grid(box=box, nx=nx, T=T, nt=nt)
 
 
-def _first_bad_point(grid: Grid, values: np.ndarray, kind: str):
-    bad = ~np.isfinite(values)
-    idx = np.argwhere(bad)
-    if idx.size == 0:
-        return None
-    idx = tuple(int(i) for i in idx[0])
-    if kind == SPACETIME:
-        t = idx[0] * grid.dt
-        coords = tuple(grid.midpoints(k)[i] for k, i in enumerate(idx[1:]))
-        return coords + (t,)
-    coords = tuple(grid.midpoints(k)[i] for k, i in enumerate(idx))
-    return coords
+def _grid_point(grid: Grid, idx, spacetime: bool) -> tuple:
+    """Coordinates of an array index: cell midpoints, then the time level's t
+    for a space-time array."""
+    idx = tuple(int(i) for i in idx)
+    if spacetime:
+        return _grid_point(grid, idx[1:], False) + (idx[0] * grid.dt,)
+    return tuple(float(grid.midpoints(k)[i]) for k, i in enumerate(idx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +163,8 @@ class Field:
             raise ConfigurationError(
                 f"{self.kind} field shape {vals.shape} does not match grid shape {want}")
         if not np.isfinite(vals).all():
-            point = _first_bad_point(self.grid, vals, self.kind)
+            point = _grid_point(self.grid, np.argwhere(~np.isfinite(vals))[0],
+                                self.kind == SPACETIME)
             raise EvaluationError(f"non-finite field value at point {point}")
 
     @classmethod
@@ -309,14 +305,8 @@ def _worst_point(grid: Grid, arr, reducer):
     """Locate the reducing sample of a scalar-or-array coefficient expression."""
     if np.isscalar(arr):
         return None, float(arr)
-    flat_index = reducer(arr)
-    idx = np.unravel_index(flat_index, arr.shape)
-    if arr.shape == grid.shape_spacetime:
-        t = idx[0] * grid.dt
-        coords = tuple(grid.midpoints(k)[i] for k, i in enumerate(idx[1:])) + (t,)
-    else:
-        coords = tuple(grid.midpoints(k)[i] for k, i in enumerate(idx))
-    return coords, float(arr[idx])
+    idx = np.unravel_index(reducer(arr), arr.shape)
+    return _grid_point(grid, idx, arr.shape == grid.shape_spacetime), float(arr[idx])
 
 
 def validate(spec: ProblemSpec) -> HypothesisReport:

@@ -1,7 +1,9 @@
 """Moser-iteration diagnostics for the sup-norm bound.
 
-The chain runs: normalize the forced solution by the critical forcing
-norm, pass to w = max(e^u, 1), climb the exponent ladder
+The chain runs on the forced solution normalized by its critical
+forcing norm, u = phi1 / max(|f|_{1+N/2}, 1), which
+:func:`parabolab.experiments.diagnose` forms: pass to w = max(e^u, 1),
+climb the exponent ladder
 p_i = (1+beta0) * (q/(q-1)) * chi^i with chi = ((N+2)/N) * ((q-1)/q),
 and extrapolate the essential supremum from the geometric tail of the
 ladder ratios.  The closed-form exponents alpha0, r and the final
@@ -11,7 +13,8 @@ ladder stalls).
 
 The chain reads w only as max(e^max u, 1) and sums of exp(p max(u, 0))
 (max(u, 0) = log w), so it runs on the plain array u and never builds
-w: rungs, quasi-norms and moments come from norms.log_power_sums.
+w: rungs, quasi-norms and moments come from norms.log_power_sums.  The
+dimension N is u.ndim - 1 (one time axis, then the space axes).
 
 Sign handling: the sup estimate is one-sided through the exponential,
 so :func:`parabolab.experiments.diagnose` keeps the larger answer of u
@@ -27,19 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from parabolab.errors import ConsistencyError, DomainError, RangeError
-from parabolab.fields import Field
-from parabolab.norms import exp_or_inf, log_power_sums, lq_spacetime, sup_t_spatial_l1
+from parabolab.fields import Grid
+from parabolab.norms import exp_or_inf, log_power_sums, sup_t_spatial_l1
 
 LADDER_CAP = 512.0
 ALPHA_CANDIDATES = tuple(2.0 ** -k for k in range(9))  # moment rates, largest first
-
-
-@dataclass(frozen=True)
-class NormalizedPair:
-    """u = phi1/scale as a plain array, with scale = max(|f|_{1+N/2}, 1)."""
-    u: np.ndarray
-    scale: float
-    f_norm_crit: float    # |f|_{1+N/2}
 
 
 @dataclass(frozen=True)
@@ -77,17 +72,7 @@ class BoundReport:
     final_exponent: float
 
 
-def normalize(phi1: Field, f: Field) -> NormalizedPair:
-    """Scale the forced solution by max(|f|_{1+N/2}, 1)."""
-    if phi1.grid != f.grid:
-        raise DomainError("phi1 and f must share one grid")
-    N = phi1.grid.dim
-    f_norm_crit = lq_spacetime(f, 1.0 + N / 2.0)
-    scale = max(f_norm_crit, 1.0)
-    return NormalizedPair(phi1.values / scale, scale, f_norm_crit)
-
-
-def exp_moment(u: np.ndarray, alphas, weight: float, N: int = None) -> dict:
+def exp_moment(u: np.ndarray, alphas, weight: float) -> dict:
     """alpha -> quadrature of exp(alpha * (1 + 2/N) * u) over the space-time box.
 
     u holds every time level, the initial one first; the quadrature runs
@@ -96,8 +81,6 @@ def exp_moment(u: np.ndarray, alphas, weight: float, N: int = None) -> dict:
     """
     if not all(a > 0.0 for a in alphas):
         raise DomainError(f"every alpha must be positive, got {list(alphas)}")
-    if N not in (None, u.ndim - 1):
-        raise DomainError(f"N={N} disagrees with the samples' dimension {u.ndim - 1}")
     rates = [a * (1.0 + 2.0 / (u.ndim - 1)) for a in alphas]
     later = u[1:]
     support = later[later != 0.0]
@@ -106,19 +89,17 @@ def exp_moment(u: np.ndarray, alphas, weight: float, N: int = None) -> dict:
             zip(alphas, log_power_sums(support, later.size - support.size, rates))}
 
 
-def l1_check(u: np.ndarray, f: Field, scale: float = 1.0):
-    """Discrete L^1 contraction: sup_t int |u| dx against int int |g| dx dt.
+def l1_check(u: np.ndarray, grid: Grid, rhs: float):
+    """Discrete L^1 contraction: sup_t int |u| dx against rhs = int int |g| dx dt.
 
-    u = phi1/scale lives on f's grid and g = f/scale, so int int |g| is
-    |f|_1/scale.  The continuum inequality is exact; the discrete one is
-    allowed the scheme-error slack 10 * (max(h)^2 + dt) on top of a 1e-6
-    relative tolerance.  Returns (lhs, rhs, passed).
+    u = phi1/scale is sampled on the space-time grid and g = f/scale, so
+    rhs is |f|_1/scale.  The continuum inequality is exact; the discrete
+    one is allowed the scheme-error slack 10 * (max(h)^2 + dt) on top of
+    a 1e-6 relative tolerance.  Returns (lhs, rhs, passed).
     """
-    grid = f.grid
     if np.shape(u) != grid.shape_spacetime:
-        raise DomainError("u must be sampled on the space-time grid of f")
+        raise DomainError("u must be sampled on the space-time grid")
     lhs = sup_t_spatial_l1(u, grid.cell_volume)
-    rhs = lq_spacetime(f, 1.0) / scale
     slack = 10.0 * (max(grid.h) ** 2 + grid.dt)
     passed = lhs <= rhs * (1.0 + 1e-6) + slack
     return lhs, rhs, bool(passed)
@@ -152,7 +133,7 @@ def _log_w(u: np.ndarray):
     return positive, later.size - positive.size
 
 
-def trace(u: np.ndarray, beta0: float, q: float, N: int = None, i_max: int = 12) -> MoserTrace:
+def trace(u: np.ndarray, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
     """Climb the ladder of averaged norms of w = max(e^u, 1) and extrapolate the sup.
 
     u holds every time level, the initial one first; the rungs average
@@ -163,8 +144,7 @@ def trace(u: np.ndarray, beta0: float, q: float, N: int = None, i_max: int = 12)
     tail of the final log-ratio, exact for fields whose log-norm decays
     like 1/p, and is clamped to be >= the last rung.
     """
-    if N is None:
-        N = u.ndim - 1
+    N = u.ndim - 1
     c = chi(N, q)
     exps = ladder(beta0, q, N, i_max)
     kept = [p for p in exps if p <= LADDER_CAP]

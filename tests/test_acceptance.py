@@ -16,11 +16,10 @@ from conftest import ACCEPTANCE_LINES
 from parabolab.cli import run
 from parabolab.config import load_config
 from parabolab.errors import DomainError
-from parabolab.experiments import convergence_orders, run_sweep, sweep_checks
+from parabolab.experiments import convergence_orders, diagnose, run_sweep, sweep_checks
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
-from parabolab.moser import (chi, exponents, interpolation_check, l1_check,
-                             normalize)
+from parabolab.moser import chi, exponents, interpolation_check
 from parabolab.solver import solve_ibvp, solve_split
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -110,25 +109,21 @@ def _mms_l1_cases():
                 out = out * np.sin(math.pi * x)
             return out
 
-        f = sample(f_fn, g)
-        spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, f,
-                           Field.zeros(g, TIMESLICE))
-        cases.append((spec, f))
+        cases.append(ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, sample(f_fn, g),
+                                 Field.zeros(g, TIMESLICE)))
     return cases
 
 
+def _l1_passes(spec):
+    forced, drift = solve_split(spec)
+    return diagnose(forced.phi, drift.phi, spec.phi0, spec.f, spec.q).l1[2]
+
+
 def test_criterion_3_l1_estimate_on_corpus():
-    results = []
-    for spec, f in _mms_l1_cases():
-        forced, _ = solve_split(spec)
-        pair = normalize(forced.phi, f)
-        results.append(l1_check(pair.u, f, pair.scale)[2])
+    results = [_l1_passes(spec) for spec in _mms_l1_cases()]
     rng = np.random.default_rng(99)
     for _ in range(20):
-        spec = _random_spec(rng, signed_f=True)
-        forced, _ = solve_split(spec)
-        pair = normalize(forced.phi, spec.f)
-        results.append(l1_check(pair.u, spec.f, pair.scale)[2])
+        results.append(_l1_passes(_random_spec(rng, signed_f=True)))
     ok = all(results)
     _verdict(3, "L1 estimate holds on manufactured + 20 random specs", ok,
              f" ({sum(results)}/{len(results)} passed)")

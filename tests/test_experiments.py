@@ -82,14 +82,14 @@ def test_bump_norms_obey_parabolic_scaling():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
     for p in (2.0, 3.0):
         want = 0.25 ** ((2 + 2) / p - 2.0) * profile_norm(p, 2)
-        got = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), p)
+        got, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), [p])
         assert abs(got - want) / want < 0.05
 
 
 def test_bump_q_norm_slope_tracks_the_scaling_exponent():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
-    n1 = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), 4.0)
-    n2 = lq_spacetime(bump(0.125, 2.0, (0.5, 0.5, 0.15), g), 4.0)
+    n1, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), [4.0])
+    n2, = lq_spacetime(bump(0.125, 2.0, (0.5, 0.5, 0.15), g), [4.0])
     slope = math.log(n2 / n1) / math.log(0.5)
     assert abs(slope - ((2 + 2) / 4.0 - 2.0)) < 0.1   # -1 for N=2, q=4
 
@@ -177,18 +177,21 @@ def test_run_sweep_skips_a_failed_solve_for_every_thread_count(monkeypatch):
 
 
 def test_run_sweep_skips_a_row_whose_q_norm_overflows():
-    # |f|_30 is a direct power sum: the bump peaks near 1.2e10 at
-    # eps = 2^-1.5 (sum near 1e304) and twice that at eps = 1/4, whose
-    # sum of |f|^30 passes the largest double
+    # the bump peaks near 1.2e10 at eps = 2^-1.5 and twice that at
+    # eps = 1/4, whose sum of |f|^30 passes the largest double; |f|_30
+    # itself is finite, and the log-space sum keeps the row
     _, spec = _small_template()
     spec = replace(spec, q=30.0)
+    eps_list = [2.0 ** -1.5, 0.25]
+    plain = run_sweep(spec, BumpFamily((0.375, 0.375), 0.13, 2.0), eps_list)
     fam = BumpFamily((0.375, 0.375), 0.13, 2.0, 4e9)
     for threads in (1, 2):
-        result = run_sweep(spec, fam, [2.0 ** -1.5, 0.25], threads=threads)
-        assert [row.eps for row in result.rows] == [2.0 ** -1.5]
-        assert len(result.diagnoses) == 1
-        assert [eps for eps, _ in result.skipped] == [0.25]
-        assert "L^30.0 accumulation overflowed" in result.skipped[0][1]
+        result = run_sweep(spec, fam, eps_list, threads=threads)
+        assert [row.eps for row in result.rows] == eps_list
+        assert len(result.diagnoses) == 2
+        assert result.skipped == ()
+        for row, unit in zip(result.rows, plain.rows):
+            assert math.isclose(row.f_norm_q, 4e9 * unit.f_norm_q, rel_tol=1e-12)
 
 
 def test_sweep_checks_measure_what_they_gate():

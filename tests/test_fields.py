@@ -57,6 +57,15 @@ def test_field_shape_and_finiteness():
     assert f.values.shape == (4,)
 
 
+def test_non_finite_value_names_its_grid_point():
+    # index [1, 2] is time level 1 (t = dt = 0.5) at the third midpoint, x = 0.625
+    g = make_grid([(0, 1)], [4], 1.0, 2)
+    bad = np.zeros((3, 4))
+    bad[1, 2] = np.inf
+    with pytest.raises(EvaluationError, match=r"at point \(0\.625, 0\.5\)$"):
+        Field(g, bad, SPACETIME)
+
+
 def test_sample_matches_manual_evaluation():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [6, 6], 0.3, 3)
     fn = lambda x, y, t: np.sin(math.pi * x) * np.cos(y) * math.exp(-t)

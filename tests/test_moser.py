@@ -12,9 +12,10 @@ import pytest
 from parabolab.errors import (ConsistencyError, DomainError, RangeError)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
+from parabolab.experiments import diagnose
 from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
                              exp_moment, exponents, interpolation_check, l1_check, ladder,
-                             normalize, trace, trace_to_csv)
+                             trace, trace_to_csv)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.solver import solve_split
 
@@ -40,15 +41,28 @@ def _weight(g):
 def test_normalize_uses_critical_norm_floored_at_one():
     g = _grid()
     phi = _const(g, 3.0)
+    zeros = (Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE))
+
+    def diagnosis(f):
+        return diagnose(phi, *zeros, f, 4.0)
+
     # constant forcing c has |f|_2 = c sqrt(|O_T|) = c / sqrt(2) here
     big = _const(g, 10.0)
-    pair = normalize(phi, big)
-    assert math.isclose(pair.scale, lq_spacetime(big, 2.0), rel_tol=1e-13)
-    assert math.isclose(float(pair.u[1, 0, 0]), 3.0 / pair.scale, rel_tol=1e-13)
+    d = diagnosis(big)
+    assert math.isclose(d.scale, lq_spacetime(big, [2.0])[0], rel_tol=1e-13)
+    assert d.f_norm_crit == d.scale
+    # u = phi/scale: its measured sup is e^(3/scale), and |Omega| = 1;
+    # the L^1 check's right side is |f|_1/scale = 10 |O_T| / scale
+    assert d.trace.measured_sup == math.exp(3.0 / d.scale)
+    assert math.isclose(d.l1[0], 3.0 / d.scale, rel_tol=1e-13)
+    assert math.isclose(d.l1[1], 10.0 * 0.5 / d.scale, rel_tol=1e-13)
     small = _const(g, 0.1)
-    pair = normalize(phi, small)
-    assert pair.scale == 1.0
-    assert np.array_equal(pair.u, phi.values)
+    d = diagnosis(small)
+    assert d.scale == 1.0
+    assert d.trace.measured_sup == math.exp(3.0)
+    other = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 5)
+    with pytest.raises(DomainError, match="share one grid"):
+        diagnosis(_const(other, 10.0))
 
 
 def _w_values(u):
@@ -81,8 +95,6 @@ def test_exp_moment_of_constants():
     assert exp_moment(_const(g, 300.0).values, [2.0], w)[2.0] == math.inf
     with pytest.raises(DomainError):
         exp_moment(_const(g, 0.0).values, [0.0], w)
-    with pytest.raises(DomainError):
-        exp_moment(_const(g, 0.0).values, [1.0], w, N=3)
 
 
 def test_l1_check_on_a_real_solution():
@@ -92,16 +104,19 @@ def test_l1_check_on_a_real_solution():
     spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.25, f,
                        Field.zeros(g, TIMESLICE))
     forced, _ = solve_split(spec)
-    pair = normalize(forced.phi, f)
-    lhs, rhs, passed = l1_check(pair.u, f, pair.scale)
+    f_norm_1, f_norm_crit = lq_spacetime(f, (1.0, 2.0))
+    scale = max(f_norm_crit, 1.0)
+    lhs, rhs, passed = l1_check(forced.phi.values / scale, g, f_norm_1 / scale)
     assert passed
     assert lhs < rhs   # real margin, not just slack
 
 
 def test_l1_check_rejects_fabricated_state():
     g = _grid()
-    lhs, rhs, passed = l1_check(_const(g, 50.0).values, _const(g, 0.0))
+    lhs, rhs, passed = l1_check(_const(g, 50.0).values, g, 0.0)
     assert not passed and lhs > rhs
+    with pytest.raises(DomainError):
+        l1_check(_const(g, 50.0).values[1:], g, 0.0)
 
 
 def test_chi_closed_forms_and_domain():
@@ -191,7 +206,7 @@ def test_interpolation_check_constant_equality_and_spike():
 
 
 def _moment_table(u):
-    return exp_moment(u.values, ALPHA_CANDIDATES, _weight(u.grid), 2)
+    return exp_moment(u.values, ALPHA_CANDIDATES, _weight(u.grid))
 
 
 def test_choose_alpha_prefers_largest_admissible_power_of_two():
@@ -247,7 +262,7 @@ def test_assemble_bound_populates_exponents():
     rng = np.random.default_rng(6)
     phi = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
     f = _const(g, 2.0)
-    rep = assemble_bound(ess_sup(phi), 0.0, lq_spacetime(f, 2.0), lq_spacetime(f, 4.0),
+    rep = assemble_bound(ess_sup(phi), 0.0, *lq_spacetime(f, (2.0, 4.0)),
                          4.0, 2, beta0=1.0, alpha=1.0)
     assert rep.alpha0 == 1.5 and abs(rep.r - 8.0 / 3.0) < 1e-14
     assert rep.final_exponent == 5.0

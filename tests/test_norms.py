@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from parabolab.errors import DomainError, RangeError
-from parabolab.fields import SPACETIME, Field, make_grid, sample
-from parabolab.norms import (LOG_SPACE_THRESHOLD, ess_sup, log_power_sums, lq_spacetime,
-                             sup_t_spatial_l1)
+from parabolab.errors import DomainError
+from parabolab.fields import SPACETIME, TIMESLICE, Field, make_grid, sample
+from parabolab.norms import ess_sup, log_power_sums, lq_spacetime, sup_t_spatial_l1
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import Stencil
 
@@ -23,7 +22,8 @@ def _ramp_field():
 
 def _averaged(f, p):
     """p-th root of the p-th power mean: the norm over |Omega_T|^(1/p)."""
-    return lq_spacetime(f, p) / f.grid.spacetime_volume ** (1.0 / p)
+    norm, = lq_spacetime(f, [p])
+    return norm / f.grid.spacetime_volume ** (1.0 / p)
 
 
 def test_lq_matches_handwritten_quadrature():
@@ -33,15 +33,16 @@ def test_lq_matches_handwritten_quadrature():
     for k in range(1, 33):
         for x in g.midpoints(0):
             total += x ** 2 * (1.0 / 64) * (1.0 / 32)
-    assert math.isclose(lq_spacetime(f, 2.0), math.sqrt(total), rel_tol=1e-14)
+    norm, = lq_spacetime(f, [2.0])
+    assert math.isclose(norm, math.sqrt(total), rel_tol=1e-14)
     # midpoint quadrature of int x^2 = 1/3 carries an O(h^2) defect
-    assert abs(lq_spacetime(f, 2.0) - math.sqrt(1.0 / 3.0)) < 1e-4
+    assert abs(norm - math.sqrt(1.0 / 3.0)) < 1e-4
 
 
 def test_linear_moment_is_exact():
     g, f = _ramp_field()
     # midpoint rule integrates linear functions exactly
-    assert math.isclose(lq_spacetime(f, 1.0), 0.5, rel_tol=1e-13)
+    assert math.isclose(lq_spacetime(f, [1.0])[0], 0.5, rel_tol=1e-13)
 
 
 def test_constant_field_norms():
@@ -50,10 +51,12 @@ def test_constant_field_norms():
     f = Field(g, np.full(g.shape_spacetime, c), SPACETIME)
     vol = 2.0 * 0.5
     negative = Field(g, -f.values, SPACETIME)
-    for p in (1.0, 2.0, 5.0, 16.0, 64.0):
-        assert math.isclose(lq_spacetime(f, p), c * vol ** (1.0 / p), rel_tol=1e-12)
+    ps = (1.0, 2.0, 5.0, 16.0, 64.0)
+    norms = lq_spacetime(f, ps)
+    for p, norm in zip(ps, norms):
+        assert math.isclose(norm, c * vol ** (1.0 / p), rel_tol=1e-12)
         assert math.isclose(_averaged(f, p), c, rel_tol=1e-12)
-        assert lq_spacetime(negative, p) == lq_spacetime(f, p)
+    assert lq_spacetime(negative, ps) == norms
     assert ess_sup(f) == c
 
 
@@ -72,11 +75,12 @@ def test_log_space_path_agrees_with_direct():
     rng = np.random.default_rng(3)
     g = make_grid([(0.0, 1.0)], [32], 1.0, 8)
     f = Field(g, rng.uniform(0.1, 1.5, g.shape_spacetime), SPACETIME)
-    # p = 32 routes through log space; the direct power sum is still safe here
+    # every p sums in log space; the direct power sums are still safe here
     vals = np.abs(f.values[1:])
-    direct = (np.sum(vals ** 32) * g.cell_volume * g.dt) ** (1.0 / 32)
-    assert math.isclose(lq_spacetime(f, 32.0), direct, rel_tol=1e-11)
-    assert LOG_SPACE_THRESHOLD == 32.0
+    ps = (1.0, 2.0, 4.0, 32.0)
+    for p, norm in zip(ps, lq_spacetime(f, ps)):
+        direct = (np.sum(vals ** p) * g.cell_volume * g.dt) ** (1.0 / p)
+        assert math.isclose(norm, direct, rel_tol=1e-11)
 
 
 def test_high_p_closes_on_ess_sup():
@@ -89,8 +93,10 @@ def test_high_p_closes_on_ess_sup():
 def test_huge_values_overflow_direct_but_not_log_space():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
     f = Field(g, np.full(g.shape_spacetime, 1e30), SPACETIME)
-    with pytest.raises(RangeError):
-        lq_spacetime(f, 16.0)
+    # (1e30)^16 passes the largest double, but the norm itself is finite
+    ps = (1.0, 2.0, 16.0)
+    for p, norm in zip(ps, lq_spacetime(f, ps)):
+        assert math.isclose(norm, 1e30 * g.spacetime_volume ** (1.0 / p), rel_tol=1e-12)
     out = _averaged(f, 64.0)
     assert math.isclose(out, 1e30, rel_tol=1e-10)
 
@@ -113,18 +119,21 @@ def test_holder_inequality():
         p = rng.uniform(1.1, 6.0)
         pc = p / (p - 1.0)
         prod = Field(g, u.values * v.values, SPACETIME)
-        lhs = lq_spacetime(prod, 1.0)
-        rhs = lq_spacetime(u, p) * lq_spacetime(v, pc)
+        lhs, = lq_spacetime(prod, [1.0])
+        rhs = lq_spacetime(u, [p])[0] * lq_spacetime(v, [pc])[0]
         assert lhs <= rhs * (1.0 + 1e-12)
 
 
 def test_zero_field_and_bad_exponent():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
     z = Field.zeros(g, SPACETIME)
-    assert lq_spacetime(z, 3.0) == 0.0
+    assert lq_spacetime(z, [3.0, 1.0]) == [0.0, 0.0]
     assert ess_sup(z) == 0.0
+    for ps in ([0.5], [2.0, 0.5], [math.inf]):
+        with pytest.raises(DomainError):
+            lq_spacetime(z, ps)
     with pytest.raises(DomainError):
-        lq_spacetime(z, 0.5)
+        lq_spacetime(Field.zeros(g, TIMESLICE), [2.0])
 
 
 def test_sup_t_spatial_l1_picks_worst_slice():

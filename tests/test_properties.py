@@ -1,8 +1,8 @@
 """Property tests of the diagnostic chain (hypothesis, derandomized in conftest).
 
-The power-sum kernel against direct sums, the skip of -u against the
-two-sign chain it replaces, and the power-mean inequality that makes the
-ladder nondecreasing.
+The power-sum kernel and the L^p norms built on it against direct sums,
+the skip of -u against the two-sign chain it replaces, and the
+power-mean inequality that makes the ladder nondecreasing.
 """
 
 import math
@@ -14,8 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from parabolab.experiments import Diagnosis, diagnose
 from parabolab.fields import SPACETIME, TIMESLICE, Field, make_grid
-from parabolab.moser import (ALPHA_CANDIDATES, exp_moment, interpolation_check, l1_check,
-                             normalize, trace)
+from parabolab.moser import ALPHA_CANDIDATES, exp_moment, interpolation_check, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
 
 # (T, nt) with T <= 1 on the unit square: |Omega_T| <= 1, so a forcing
@@ -34,33 +33,53 @@ def test_power_sums_match_direct_sums_with_zeros_present(x, exponents):
         assert math.isclose(math.exp(log_sum), direct, rel_tol=1e-12)
 
 
+# signed samples with zeros; |v|^40 passes the largest double from about 5e7 up
+@given(arrays(np.float64, SHAPE, elements=st.one_of(
+           st.just(0.0), st.floats(1e-3, 1e30), st.floats(-1e30, -1e-3))),
+       st.lists(st.floats(1.0, 40.0), min_size=1, max_size=5))
+def test_lq_norms_match_single_calls_signs_and_direct_sums(values, ps):
+    f = Field(GRID, values, SPACETIME)
+    norms = lq_spacetime(f, ps)
+    assert norms == [lq_spacetime(f, [p])[0] for p in ps]
+    assert norms == lq_spacetime(Field(GRID, -values, SPACETIME), ps)
+    for p, norm in zip(ps, norms):
+        with np.errstate(over="ignore"):
+            total = float(np.sum(np.abs(values[1:]) ** p))
+        if math.isfinite(total):
+            direct = (total * GRID.cell_volume * GRID.dt) ** (1.0 / p)
+            assert math.isclose(norm, direct, rel_tol=1e-12)
+
+
 def _two_sign_chain(phi1, phi2, phi0, f, q, beta0=1.0, i_max=12):
-    """The chain as it ran before the skip: always on u and on -u."""
+    """The chain as it ran before the skip: always on u and on -u, with one
+    norm call per exponent of f."""
     grid = f.grid
-    N = grid.dim
     weight = grid.cell_volume * grid.dt
     r = (1.0 + beta0) * q / (q - 1.0)
-    pair = normalize(phi1, f)
+    f_norm_1, f_norm_crit, f_norm_q = (lq_spacetime(f, [p])[0]
+                                       for p in (1.0, 1.0 + grid.dim / 2.0, q))
+    scale = max(f_norm_crit, 1.0)
+    u = phi1.values / scale
     best = None
     moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
-    for u in (pair.u, -pair.u):
-        tr = trace(u, beta0, q, N, i_max)
+    for signed in (u, -u):
+        tr = trace(signed, beta0, q, i_max)
         if best is None or tr.measured_sup > best[0].measured_sup:
-            best = (tr, interpolation_check(u, r, min(1.0, 0.5 * r), weight))
-        for a, m in exp_moment(u, ALPHA_CANDIDATES, weight, N).items():
+            best = (tr, interpolation_check(signed, r, min(1.0, 0.5 * r), weight))
+        for a, m in exp_moment(signed, ALPHA_CANDIDATES, weight).items():
             moments[a] = max(moments[a], m)
     phi_sup = float(np.max(np.abs(phi1.values + phi2.values)))
-    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2),
-                     lq_spacetime(f, 1.0 + N / 2.0), lq_spacetime(f, q), pair.scale,
-                     l1_check(pair.u, f, pair.scale), best[0], best[1], moments)
+    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
+                     l1_check(u, grid, f_norm_1 / scale), best[0], best[1], moments)
 
 
 def _chains_agree(phi1, drift, forcing):
     phi1[0] = 0.0
     fields = (Field(GRID, phi1, SPACETIME), Field(GRID, drift, SPACETIME),
               Field(GRID, drift[0], TIMESLICE), Field(GRID, forcing, SPACETIME))
-    assert normalize(fields[0], fields[3]).scale == 1.0
-    assert diagnose(*fields, 4.0) == _two_sign_chain(*fields, 4.0)
+    d = diagnose(*fields, 4.0)
+    assert d.scale == 1.0
+    assert d == _two_sign_chain(*fields, 4.0)
 
 
 SIGNED = arrays(np.float64, SHAPE, elements=st.floats(-1.0, 1.0))
