@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from parabolab.config import load_config
+from parabolab.config import load_config, parse_numbers
 from parabolab.constants import build_ledger, ledger_to_text
 from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError,
                               EvaluationError, FitError, RangeError, ResolutionError,
@@ -60,7 +60,7 @@ def _cmd_diagnose(args) -> int:
     report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,
                             spec.q, spec.grid.dim, beta0)
     l1_lhs, l1_rhs, _ = d.l1
-    int_lhs, int_rhs, _ = d.interpolation
+    int_lhs, int_rhs, _ = d.trace.interpolation
     tr = d.trace
 
     print(bound_to_text(report), end="")
@@ -104,7 +104,7 @@ def _cmd_sweep(args) -> int:
     settings = bundle.sweep
     eps = settings.eps
     if args.eps_list:
-        eps = tuple(float(tok) for tok in args.eps_list.split(","))
+        eps = parse_numbers(args.eps_list, "--eps-list")
     result = run_sweep(bundle.spec, settings.family, eps,
                        opts=bundle.solve_options, threads=args.threads,
                        beta0=settings.beta0, i_max=settings.i_max,

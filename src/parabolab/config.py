@@ -11,8 +11,8 @@ Grammar: INI sections with `key = value` lines.
                   i_max, moment_cap (all optional except eps)
   [solver]        tol, max_iters (optional)
 
-Function values are `name key=val key=val ...` with comma-separated
-vector components.  Registered names:
+Function values are `name key=val ...`, taking only the parameters
+listed, one number each (comma-separated for center, x0).  Names:
 
   zero
   constant value=V
@@ -59,7 +59,8 @@ class ConfigBundle:
     solve_options: SolveOptions
 
 
-def _numbers(text: str, key: str, kind=float):
+def parse_numbers(text: str, key: str, kind=float):
+    """Comma- or space-separated numbers of kind; a ConfigurationError names key."""
     try:
         return [kind(tok) for tok in text.replace(",", " ").split()]
     except ValueError as err:
@@ -77,17 +78,36 @@ def _scalar(section, where: str, key: str, kind=float, default=None):
             f"{where}.{key}: cannot parse a number from {section[key]!r}") from err
 
 
+# the parameters each registered function takes; center and x0 are vectors
+_FUNCTIONS = {"zero": (), "constant": ("value",), "sine": ("amplitude", "decay"),
+              "radial": ("amplitude", "center", "exponent"),
+              "bump": ("eps", "gamma", "x0", "t0")}
+_VECTORS = ("center", "x0")
+
+
 def _parse_function(text: str, key: str):
-    """Split `name k=v k=v` into (name, params dict of float tuples)."""
+    """Split `name k=v k=v` into (name, params): a float per parameter, a
+    tuple for center and x0.  Unknown names and parameters are refused."""
     tokens = text.split()
+    if not tokens:
+        raise ConfigurationError(f"{key}: empty function value")
     name = tokens[0]
+    if name not in _FUNCTIONS:
+        raise ConfigurationError(f"{key}: unknown function {name!r} "
+                                 f"(choose {', '.join(_FUNCTIONS)})")
     params = {}
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ConfigurationError(f"{key}: expected k=v parameter, got {tok!r}")
         pkey, pval = tok.split("=", 1)
-        vals = _numbers(pval, f"{key}.{pkey}")
-        params[pkey] = vals[0] if len(vals) == 1 else tuple(vals)
+        if pkey not in _FUNCTIONS[name]:
+            raise ConfigurationError(f"{key}: {name} takes no parameter {pkey!r} "
+                                     f"(takes {', '.join(_FUNCTIONS[name]) or 'none'})")
+        vals = parse_numbers(pval, f"{key}.{pkey}")
+        if not vals or (len(vals) > 1 and pkey not in _VECTORS):
+            raise ConfigurationError(f"{key}.{pkey}: needs one number (components for "
+                                     f"center and x0), got {pval!r}")
+        params[pkey] = tuple(vals) if pkey in _VECTORS else vals[0]
     return name, params
 
 
@@ -119,19 +139,16 @@ def _build_field(text: str, key: str, grid: Grid, kind: str) -> Field:
         return Field.zeros(grid, kind)
     if name == "constant":
         shape = grid.shape_spacetime if kind == SPACETIME else grid.shape_space
-        return Field(grid, np.full(shape, float(params.get("value", 1.0))), kind)
+        return Field(grid, np.full(shape, params.get("value", 1.0)), kind)
     if name == "sine":
-        fn = _sine_fn(grid, float(params.get("amplitude", 1.0)),
-                      float(params.get("decay", 0.0)))
+        fn = _sine_fn(grid, params.get("amplitude", 1.0), params.get("decay", 0.0))
         return sample(fn, grid) if kind == SPACETIME else sample_initial(fn, grid)
     if name == "radial":
         center = params.get("center", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
-        if np.isscalar(center):
-            center = (center,)
         if len(center) != grid.dim:
             raise ConfigurationError(f"{key}: radial center needs {grid.dim} components")
-        amplitude = float(params.get("amplitude", 1.0))
-        exponent = float(params.get("exponent", -1.0))
+        amplitude = params.get("amplitude", 1.0)
+        exponent = params.get("exponent", -1.0)
         mesh = grid.meshgrid()
         r2 = np.zeros(grid.shape_space)
         for k in range(grid.dim):
@@ -147,20 +164,15 @@ def _build_field(text: str, key: str, grid: Grid, kind: str) -> Field:
         if "eps" not in params:
             raise ConfigurationError(f"{key}: bump needs eps=...")
         x0 = params.get("x0", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
-        if np.isscalar(x0):
-            x0 = (x0,)
-        t0 = float(params.get("t0", 0.6 * grid.T))
-        return bump(float(params["eps"]), float(params.get("gamma", 2.0)),
-                    (*x0, t0), grid)
-    raise ConfigurationError(f"{key}: unknown function {name!r} "
-                             "(choose zero, constant, sine, radial, bump)")
+        return bump(params["eps"], params.get("gamma", 2.0),
+                    (*x0, params.get("t0", 0.6 * grid.T)), grid)
 
 
 def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
     N = grid.dim
     diag = [1.0] * N
     if "a" in section:
-        vals = _numbers(section["a"], "coefficients.a")
+        vals = parse_numbers(section["a"], "coefficients.a")
         if len(vals) == 1:
             diag = [vals[0]] * N
         elif len(vals) == N:
@@ -205,11 +217,11 @@ def load_config(path: str) -> ConfigBundle:
     pairs = gs["box"].split()
     box = []
     for token in pairs:
-        vals = _numbers(token, "grid.box")
+        vals = parse_numbers(token, "grid.box")
         if len(vals) != 2:
             raise ConfigurationError(f"grid.box: each axis needs lo,hi, got {token!r}")
         box.append((vals[0], vals[1]))
-    nx = _numbers(gs["nx"], "grid.nx", int)
+    nx = parse_numbers(gs["nx"], "grid.nx", int)
     grid = make_grid(box, nx, _scalar(gs, "grid", "T"), _scalar(gs, "grid", "nt", int))
 
     cs = parser["coefficients"] if "coefficients" in parser else {}
@@ -238,8 +250,8 @@ def load_config(path: str) -> ConfigBundle:
         ss = parser["sweep"]
         if "eps" not in ss:
             raise ConfigurationError(f"{path}: [sweep] missing eps")
-        eps = tuple(_numbers(ss["eps"], "sweep.eps"))
-        x0 = tuple(_numbers(ss["x0"], "sweep.x0")) if "x0" in ss \
+        eps = tuple(parse_numbers(ss["eps"], "sweep.eps"))
+        x0 = tuple(parse_numbers(ss["x0"], "sweep.x0")) if "x0" in ss \
             else tuple(0.5 * (lo + hi) for lo, hi in grid.box)
         if len(x0) != grid.dim:
             raise ConfigurationError(f"sweep.x0 needs {grid.dim} components")

@@ -31,7 +31,7 @@ from parabolab.errors import (ConfigurationError, DomainError, FitError, Resolut
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
                               ProblemSpec, make_grid, sample, sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
-                             exp_moment, interpolation_check, l1_check, trace)
+                             exp_moment, l1_check, trace)
 from parabolab.norms import ess_sup, exp_or_inf, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
@@ -189,8 +189,7 @@ class Diagnosis:
     f_norm_q: float        # |f|_q
     scale: float           # normalization max(|f|_{1+N/2}, 1)
     l1: tuple              # l1_check (lhs, rhs, passed) of u = phi1/scale
-    trace: MoserTrace      # ladder trace of the dominant sign
-    interpolation: tuple   # interpolation_check (lhs, rhs, passed), dominant sign
+    trace: MoserTrace      # ladder trace and interpolation triple of the dominant sign
     moments: dict          # alpha -> max exp_moment over both signs, inf on overflow
 
 
@@ -202,41 +201,40 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     with data phi0 and no forcing; phi1 and f share one grid.  |f|_1,
     |f|_{1+N/2} and |f|_q come from one read of f's support, and phi1 is
     normalized to u = phi1 / scale with scale = max(|f|_{1+N/2}, 1).
-    The L^1 check compares u with |f|_1/scale; the ladder trace,
-    interpolation check (alpha = min(1, r/2)) and exponential moments of
-    w = max(e^u, 1) run on u and, where it can win (see
-    :mod:`parabolab.moser`), on -u.  The sign with the larger measured
-    sup supplies the trace and the interpolation triple; each moment
-    keeps its larger value.  Every norm that passes the largest double
-    reads inf, so nothing here raises RangeError.
+    The L^1 check compares u with |f|_1/scale.  Every norm that passes
+    the largest double reads inf, so nothing here raises RangeError.
+
+    Sign handling: the sup estimate is one-sided through the exponential,
+    so the chain keeps the larger answer of u and -u.  The ladder trace,
+    with its interpolation triple, runs once: on -u when its measured sup
+    e^max(-u) beats u's, else on u, which keeps a tie.  Each exponential
+    moment of w = max(e^u, 1) keeps its larger value over the two signs.
+    -u's moment is skipped where u's beats the bound
+    |Omega_T| e^(rate max(-u)) on it by a relative 1e-9, far above the
+    rounding of either side, so none runs when min(u) >= 0.
     """
     if phi1.grid != f.grid:
         raise DomainError("phi1 and f must share one grid")
     grid = f.grid
     N = grid.dim
     weight = grid.cell_volume * grid.dt
-    r = (1.0 + beta0) * q / (q - 1.0)
-    alpha = min(1.0, 0.5 * r)
     phi = phi1.values + phi2.values
     phi_sup = float(np.max(np.abs(phi, out=phi)))
     f_norm_1, f_norm_crit, f_norm_q = lq_spacetime(f, (1.0, 1.0 + N / 2.0, q))
     scale = max(f_norm_crit, 1.0)
     u = phi1.values / scale
-    tr, interpolation = trace(u, beta0, q, i_max), interpolation_check(u, r, alpha, weight)
-    moments = exp_moment(u, ALPHA_CANDIDATES, weight)
     reach = -float(np.min(u))   # max(-u)
+    minus_wins = exp_or_inf(reach) > exp_or_inf(max(float(np.max(u)), 0.0))
+    tr = trace(-u if minus_wins else u, grid, beta0, q, i_max)
+    moments = exp_moment(u, grid, ALPHA_CANDIDATES)
     if reach > 0.0:
-        # -u's measured sup is e^max(-u), and each of its moments is at most
-        # |Omega_T| e^(rate max(-u)); 1e-9 is far above the rounding of either side
-        if exp_or_inf(reach) > tr.measured_sup:
-            tr, interpolation = trace(-u, beta0, q, i_max), interpolation_check(-u, r, alpha, weight)
         bound = u[1:].size * weight * (1.0 + 1e-9)
         open_rates = [a for a in ALPHA_CANDIDATES
                       if not moments[a] > bound * exp_or_inf(a * (1.0 + 2.0 / N) * reach)]
-        for a, m in (exp_moment(-u, open_rates, weight) if open_rates else {}).items():
+        for a, m in (exp_moment(-u, grid, open_rates) if open_rates else {}).items():
             moments[a] = max(moments[a], m)
     return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
-                     l1_check(u, grid, f_norm_1 / scale), tr, interpolation, moments)
+                     l1_check(u, grid, f_norm_1 / scale), tr, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,7 @@ def diagnosis_checks(diagnoses) -> list:
     than a relative 1e-12.
     """
     l1_failed = sum(not d.l1[2] for d in diagnoses)
-    interp_failed = sum(not d.interpolation[2] for d in diagnoses)
+    interp_failed = sum(not d.trace.interpolation[2] for d in diagnoses)
     ratio = min((rung.ratio for d in diagnoses for rung in d.trace.ladder), default=1.0)
     return [
         Check("l1", l1_failed, l1_failed == 0),

@@ -13,15 +13,9 @@ ladder stalls).
 
 The chain reads w only as max(e^max u, 1) and sums of exp(p max(u, 0))
 (max(u, 0) = log w), so it runs on the plain array u and never builds
-w: rungs, quasi-norms and moments come from norms.log_power_sums.  The
-dimension N is u.ndim - 1 (one time axis, then the space axes).
-
-Sign handling: the sup estimate is one-sided through the exponential,
-so :func:`parabolab.experiments.diagnose` keeps the larger answer of u
-and -u, running -u only where it can win: not at all when min(u) >= 0;
-its trace when its measured sup e^max(-u) beats u's; a moment when u's
-does not beat the bound |Omega_T| e^(rate max(-u)) on that moment of -u
-by a relative 1e-9, far above rounding.
+w: rungs, quasi-norms and moments come from norms.log_power_sums.  Every
+function of the chain takes u with the grid it is sampled on, and the
+dimension N is the grid's.
 """
 
 import math
@@ -53,6 +47,7 @@ class MoserTrace:
     extrapolated_sup: float
     measured_sup: float
     truncated: bool
+    interpolation: tuple  # (lhs, rhs, passed) at r = the first rung, alpha = min(1, r/2)
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,25 @@ class BoundReport:
     final_exponent: float
 
 
-def exp_moment(u: np.ndarray, alphas, weight: float) -> dict:
+def _check_shape(u: np.ndarray, grid: Grid):
+    if np.shape(u) != grid.shape_spacetime:
+        raise DomainError("u must be sampled on the space-time grid")
+
+
+def exp_moment(u: np.ndarray, grid: Grid, alphas) -> dict:
     """alpha -> quadrature of exp(alpha * (1 + 2/N) * u) over the space-time box.
 
     u holds every time level, the initial one first; the quadrature runs
     over the later levels with weight (cell volume * dt) per sample.  A
     moment whose log passes LOG_FLOAT_MAX is inf.
     """
+    _check_shape(u, grid)
     if not all(a > 0.0 for a in alphas):
         raise DomainError(f"every alpha must be positive, got {list(alphas)}")
-    rates = [a * (1.0 + 2.0 / (u.ndim - 1)) for a in alphas]
+    rates = [a * (1.0 + 2.0 / grid.dim) for a in alphas]
     later = u[1:]
     support = later[later != 0.0]
-    log_weight = math.log(weight)
+    log_weight = math.log(grid.cell_volume * grid.dt)
     return {a: exp_or_inf(log_sum + log_weight) for a, log_sum in
             zip(alphas, log_power_sums(support, later.size - support.size, rates))}
 
@@ -97,8 +98,7 @@ def l1_check(u: np.ndarray, grid: Grid, rhs: float):
     one is allowed the scheme-error slack 10 * (max(h)^2 + dt) on top of
     a 1e-6 relative tolerance.  Returns (lhs, rhs, passed).
     """
-    if np.shape(u) != grid.shape_spacetime:
-        raise DomainError("u must be sampled on the space-time grid")
+    _check_shape(u, grid)
     lhs = sup_t_spatial_l1(u, grid.cell_volume)
     slack = 10.0 * (max(grid.h) ** 2 + grid.dt)
     passed = lhs <= rhs * (1.0 + 1e-6) + slack
@@ -126,14 +126,7 @@ def ladder(beta0: float, q: float, N: int, i_max: int = 12):
     return [base * c ** i for i in range(int(i_max) + 1)]
 
 
-def _log_w(u: np.ndarray):
-    """log w = max(u, 0) after the initial level: its nonzero samples and count of zeros."""
-    later = u[1:]
-    positive = later[later > 0.0]
-    return positive, later.size - positive.size
-
-
-def trace(u: np.ndarray, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
+def trace(u: np.ndarray, grid: Grid, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
     """Climb the ladder of averaged norms of w = max(e^u, 1) and extrapolate the sup.
 
     u holds every time level, the initial one first; the rungs average
@@ -143,19 +136,30 @@ def trace(u: np.ndarray, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
     sup.  The extrapolation multiplies the last norm by the geometric
     tail of the final log-ratio, exact for fields whose log-norm decays
     like 1/p, and is clamped to be >= the last rung.
+
+    interpolation = (lhs, rhs, passed) checks |w|_r <= |w|_inf^((r-alpha)/r)
+    |w|_alpha^(alpha/r) at the first rung r = (1+beta0)q/(q-1) and alpha
+    = min(1, r/2), with raw norms (weight cell volume * dt per sample).
+    It is pointwise, so it holds for any 0 < alpha < r; passed allows a
+    relative 1e-10, and constant fields give equality.
     """
-    N = u.ndim - 1
+    _check_shape(u, grid)
+    N = grid.dim
     c = chi(N, q)
     exps = ladder(beta0, q, N, i_max)
     kept = [p for p in exps if p <= LADDER_CAP]
     truncated = len(kept) < len(exps)
     if not kept:
         raise DomainError(f"every ladder exponent exceeds the cap {LADDER_CAP}")
+    r, alpha = kept[0], min(1.0, 0.5 * kept[0])
 
-    log_count = math.log(u[1:].size)
+    later = u[1:]
+    positive = later[later > 0.0]   # log w = max(u, 0)
+    *log_sums, log_alpha = log_power_sums(positive, later.size - positive.size, kept + [alpha])
+    log_count = math.log(later.size)
     rungs = []
     prev = None
-    for i, (p, log_sum) in enumerate(zip(kept, log_power_sums(*_log_w(u), kept))):
+    for i, (p, log_sum) in enumerate(zip(kept, log_sums)):
         norm = exp_or_inf((log_sum - log_count) / p)
         ratio = 1.0 if prev is None else norm / prev
         rungs.append(LadderRung(i, p, norm, ratio))
@@ -166,8 +170,12 @@ def trace(u: np.ndarray, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
     if last.ratio > 0.0:
         extrapolated = last.norm * math.exp(math.log(last.ratio) / (c - 1.0))
     extrapolated = max(extrapolated, last.norm)
-    measured = exp_or_inf(max(float(np.max(u)), 0.0))
-    return MoserTrace(beta0, c, tuple(rungs), extrapolated, measured, truncated)
+    log_sup = max(float(np.max(u)), 0.0)
+    log_weight = math.log(grid.cell_volume * grid.dt)
+    lhs = exp_or_inf((log_sums[0] + log_weight) / r)
+    rhs = exp_or_inf(log_sup * (r - alpha) / r + (log_alpha + log_weight) / r)
+    return MoserTrace(beta0, c, tuple(rungs), extrapolated, exp_or_inf(log_sup), truncated,
+                      (lhs, rhs, lhs <= rhs * (1.0 + 1e-10)))
 
 
 def exponents(beta0: float, q: float, N: int, alpha: float):
@@ -182,25 +190,6 @@ def exponents(beta0: float, q: float, N: int, alpha: float):
         raise DomainError(f"alpha must lie in (0, r) = (0, {r:.6g}), got {alpha}")
     final = alpha0 * r / alpha + 1.0 / alpha
     return alpha0, r, final
-
-
-def interpolation_check(u: np.ndarray, r: float, alpha: float, weight: float):
-    """|w|_r <= |w|_inf^((r-alpha)/r) * |w|_alpha^(alpha/r) for w = max(e^u, 1).
-
-    Raw norms of the levels after the first, weight (cell volume * dt) per
-    sample; |w|_inf runs over all.  Holds for any 0 < alpha < r (alpha < 1
-    is a quasi-norm; the inequality is pointwise).  Returns (lhs, rhs,
-    passed) with relative slack 1e-10; constant fields give equality.
-    """
-    if not 0.0 < alpha < r:
-        raise DomainError(f"need 0 < alpha < r, got alpha={alpha}, r={r}")
-    log_r, log_alpha = log_power_sums(*_log_w(u), (r, alpha))
-    log_weight = math.log(weight)
-    log_sup = max(float(np.max(u)), 0.0)
-    lhs = exp_or_inf((log_r + log_weight) / r)
-    rhs = exp_or_inf(log_sup * (r - alpha) / r + (log_alpha + log_weight) / r)
-    passed = lhs <= rhs * (1.0 + 1e-10)
-    return lhs, rhs, bool(passed)
 
 
 def choose_alpha(tables, r: float, measure: float, cap: float = 10.0) -> float:

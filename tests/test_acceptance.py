@@ -19,7 +19,7 @@ from parabolab.errors import DomainError
 from parabolab.experiments import convergence_orders, diagnose, run_sweep, sweep_checks
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
-from parabolab.moser import chi, exponents, interpolation_check
+from parabolab.moser import chi, exponents, trace
 from parabolab.solver import solve_ibvp, solve_split
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -199,10 +199,11 @@ def test_criterion_7_interpolation_inequality(acceptance_sweep):
     result, measured, _ = acceptance_sweep
     # the number of sweep fields that fail the inequality
     ok = bool(result.diagnoses) and measured["interpolation"] == 0
-    # constant fields realize equality: w = 2.5 is u = log 2.5
+    # constant fields realize equality: w = 2.5 is u = log 2.5; beta0 = 1
+    # and q = 4 give the first rung r = 8/3 and alpha = 1
     g = make_grid([(0.0, 1.0)], [8], 0.5, 4)
     u = np.full(g.shape_spacetime, math.log(2.5))
-    lhs, rhs, passed = interpolation_check(u, 8.0 / 3.0, 1.0, g.cell_volume * g.dt)
+    lhs, rhs, passed = trace(u, g, 1.0, 4.0).interpolation
     ok = ok and passed and abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
     _verdict(7, "interpolation inequality holds (equality for constants)", ok,
              f" ({len(result.diagnoses)} sweep fields + constant case)")

@@ -110,10 +110,23 @@ def test_missing_config_is_a_usage_error():
     assert run(["solve", "--config", "/nonexistent/path.cfg"]) == 1
 
 
+F_LINE = "f = sine amplitude=12.0 decay=1.0"
+
+
+# the four forcing.f values once raised IndexError, TypeError, TypeError,
+# and (a misspelt parameter) ran silently with amplitude 1
 @pytest.mark.parametrize("line, value, key", [("T = 0.5", "T = abc", "grid.T"),
                                               ("tol = 1e-10", "tol = 1e-1O", "solver.tol"),
-                                              ("nx = 32,32", "nx = 32.9,32", "grid.nx")],
-                         ids=["T", "tol", "nx"])
+                                              ("nx = 32,32", "nx = 32.9,32", "grid.nx"),
+                                              (F_LINE, "f = ", "forcing.f"),
+                                              (F_LINE, "f = sine amplitude= decay=1.0",
+                                               "forcing.f"),
+                                              (F_LINE, "f = sine amplitude=12,3 decay=1.0",
+                                               "forcing.f"),
+                                              (F_LINE, "f = sine amplitud=12.0 decay=1.0",
+                                               "forcing.f")],
+                         ids=["T", "tol", "nx", "f_empty", "f_no_value", "f_vector",
+                              "f_unknown_parameter"])
 def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
     text = open(DEMO).read()
     assert line in text
@@ -140,3 +153,11 @@ def test_help_exits_clean(capsys):
 
 def test_sweep_without_sweep_section_fails_cleanly():
     assert run(["sweep", "--config", DEMO]) == 1
+
+
+def test_malformed_eps_list_is_a_configuration_error(tmp_path, capsys):
+    # once a bare ValueError out of run
+    assert run(["sweep", "--config", SMALL, "--eps-list", "0.25,abc",
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "--eps-list" in err

@@ -220,9 +220,10 @@ def test_sweep_checks_measure_what_they_gate():
 
 def test_diagnosis_checks_count_failures_and_find_the_lowest_rung():
     ladder = (LadderRung(0, 1.0, 1.0, 1.0), LadderRung(1, 2.0, 0.5, 0.5))
-    trace = MoserTrace(1.0, 1.5, ladder, 1.0, 1.0, False)
-    d = Diagnosis(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, (2.0, 1.0, False), trace, (1.0, 2.0, True), {})
-    checks = diagnosis_checks([d, replace(d, interpolation=(3.0, 2.0, False))])
+    trace = MoserTrace(1.0, 1.5, ladder, 1.0, 1.0, False, (1.0, 2.0, True))
+    d = Diagnosis(1.0, 0.0, 0.0, 1.0, 1.0, 1.0, (2.0, 1.0, False), trace, {})
+    failing = replace(trace, interpolation=(3.0, 2.0, False))
+    checks = diagnosis_checks([d, replace(d, trace=failing)])
     assert [(c.name, c.measured, c.passed) for c in checks] == [
         ("l1", 2, False), ("interpolation", 1, False), ("ladder_monotone", 0.5, False)]
 

@@ -14,8 +14,7 @@ from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
 from parabolab.experiments import diagnose
 from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
-                             exp_moment, exponents, interpolation_check, l1_check, ladder,
-                             trace, trace_to_csv)
+                             exp_moment, exponents, l1_check, ladder, trace, trace_to_csv)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.solver import solve_split
 
@@ -32,10 +31,6 @@ def _grid():
 def _log_const(g, c):
     """u = log c on every space-time sample, so that w = max(e^u, 1) = c for c >= 1."""
     return np.full(g.shape_spacetime, math.log(c))
-
-
-def _weight(g):
-    return g.cell_volume * g.dt
 
 
 def test_normalize_uses_critical_norm_floored_at_one():
@@ -67,7 +62,7 @@ def test_normalize_uses_critical_norm_floored_at_one():
 
 def _w_values(u):
     """What the chain reads of w = max(e^u, 1): its rung norms and its sup."""
-    t = trace(u, 1.0, 4.0, i_max=6)
+    t = trace(u, _grid(), 1.0, 4.0, i_max=6)
     return [r.norm for r in t.ladder] + [t.measured_sup]
 
 
@@ -76,7 +71,7 @@ def test_exp_change_constants_and_overflow():
     assert all(x == 1.0 for x in _w_values(_const(g, 0.0).values))
     assert np.allclose(_w_values(_log_const(g, 2.0)), 2.0)
     # v = e^u is the moment integrand at rate 1, alpha = 1/2 when N = 2
-    v = exp_moment(_const(g, -5.0).values, [0.5], _weight(g))[0.5] / g.spacetime_volume
+    v = exp_moment(_const(g, -5.0).values, g, [0.5])[0.5] / g.spacetime_volume
     assert np.allclose(v, math.exp(-5.0))
     assert all(x == 1.0 for x in _w_values(_const(g, -5.0).values))   # w clips below 1
     # e^701 is a double; e^710 is not, and reads inf
@@ -86,15 +81,14 @@ def test_exp_change_constants_and_overflow():
 
 def test_exp_moment_of_constants():
     g = _grid()   # space-time measure 0.5
-    w = _weight(g)
-    assert math.isclose(exp_moment(_const(g, 0.0).values, [1.0], w)[1.0], 0.5, rel_tol=1e-13)
+    assert math.isclose(exp_moment(_const(g, 0.0).values, g, [1.0])[1.0], 0.5, rel_tol=1e-13)
     expected = math.exp(1.0 * (1.0 + 2.0 / 2.0) * 0.3) * 0.5
-    assert math.isclose(exp_moment(_const(g, 0.3).values, [1.0], w)[1.0], expected,
+    assert math.isclose(exp_moment(_const(g, 0.3).values, g, [1.0])[1.0], expected,
                         rel_tol=1e-13)
     # exp(1200) * 0.5 overflows a double: the moment reads inf
-    assert exp_moment(_const(g, 300.0).values, [2.0], w)[2.0] == math.inf
+    assert exp_moment(_const(g, 300.0).values, g, [2.0])[2.0] == math.inf
     with pytest.raises(DomainError):
-        exp_moment(_const(g, 0.0).values, [0.0], w)
+        exp_moment(_const(g, 0.0).values, g, [0.0])
 
 
 def test_l1_check_on_a_real_solution():
@@ -117,6 +111,17 @@ def test_l1_check_rejects_fabricated_state():
     assert not passed and lhs > rhs
     with pytest.raises(DomainError):
         l1_check(_const(g, 50.0).values[1:], g, 0.0)
+    # the chain takes N from the grid and refuses arrays of another shape:
+    # once, N = u.ndim - 1 made exp_moment divide by zero on a 1-D array
+    # and return a moment on a 5-D one
+    g1 = make_grid([(0.0, 1.0)], [4], 0.5, 4)
+    for u in (np.zeros(5), np.zeros((2, 4, 4, 4, 4))):
+        with pytest.raises(DomainError, match="space-time grid"):
+            trace(u, g1, 1.0, 4.0)
+        with pytest.raises(DomainError, match="space-time grid"):
+            exp_moment(u, g1, [1.0])
+        with pytest.raises(DomainError, match="space-time grid"):
+            l1_check(u, g1, 0.0)
 
 
 def test_chi_closed_forms_and_domain():
@@ -157,7 +162,7 @@ def test_exponents_closed_forms():
 def test_trace_on_constant_fields_is_flat():
     g = _grid()
     for c in (1.0, 2.0):
-        t = trace(_log_const(g, c), 1.0, 4.0, i_max=6)
+        t = trace(_log_const(g, c), g, 1.0, 4.0, i_max=6)
         assert all(math.isclose(r.norm, c, rel_tol=1e-12) for r in t.ladder)
         assert all(math.isclose(r.ratio, 1.0, rel_tol=1e-12) for r in t.ladder[1:])
         assert t.ladder[0].ratio == 1.0
@@ -169,7 +174,7 @@ def test_trace_on_constant_fields_is_flat():
 def test_trace_rungs_nondecreasing_on_random_field():
     rng = np.random.default_rng(17)
     g = _grid()
-    t = trace(rng.normal(size=g.shape_spacetime), 1.0, 4.0, i_max=10)
+    t = trace(rng.normal(size=g.shape_spacetime), g, 1.0, 4.0, i_max=10)
     norms = [r.norm for r in t.ladder]
     for a, b in zip(norms, norms[1:]):
         assert b >= a * (1.0 - 1e-12)
@@ -179,7 +184,7 @@ def test_trace_rungs_nondecreasing_on_random_field():
 
 def test_trace_flags_ladder_truncation():
     g = _grid()
-    t = trace(_log_const(g, 1.5), 1.0, 4.0, i_max=30)
+    t = trace(_log_const(g, 1.5), g, 1.0, 4.0, i_max=30)
     assert t.truncated
     assert t.ladder[-1].exponent <= 512.0
     assert len(t.ladder) < 31
@@ -187,7 +192,7 @@ def test_trace_flags_ladder_truncation():
 
 def test_trace_csv_has_rung_rows_and_footer():
     g = _grid()
-    text = trace_to_csv(trace(_log_const(g, 2.0), 1.0, 4.0, i_max=4))
+    text = trace_to_csv(trace(_log_const(g, 2.0), g, 1.0, 4.0, i_max=4))
     lines = text.strip().splitlines()
     assert lines[0] == "i,p,norm,ratio"
     assert len([ln for ln in lines if not ln.startswith("#")]) == 6
@@ -196,17 +201,18 @@ def test_trace_csv_has_rung_rows_and_footer():
 
 def test_interpolation_check_constant_equality_and_spike():
     g = _grid()
-    lhs, rhs, passed = interpolation_check(_log_const(g, 2.5), 8.0 / 3.0, 1.0, _weight(g))
+    # beta0 = 1, q = 4: the first rung r = 8/3 and alpha = 1
+    lhs, rhs, passed = trace(_log_const(g, 2.5), g, 1.0, 4.0).interpolation
     assert passed
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     vals = np.ones(g.shape_spacetime)
     vals[3, 4, 4] = 50.0
-    lhs, rhs, passed = interpolation_check(np.log(vals), 8.0 / 3.0, 1.0, _weight(g))
+    lhs, rhs, passed = trace(np.log(vals), g, 1.0, 4.0).interpolation
     assert passed and lhs < rhs
 
 
 def _moment_table(u):
-    return exp_moment(u.values, ALPHA_CANDIDATES, _weight(u.grid))
+    return exp_moment(u.values, u.grid, ALPHA_CANDIDATES)
 
 
 def test_choose_alpha_prefers_largest_admissible_power_of_two():

@@ -1,8 +1,9 @@
 """Property tests of the diagnostic chain (hypothesis, derandomized in conftest).
 
 The power-sum kernel and the L^p norms built on it against direct sums,
-the skip of -u against the two-sign chain it replaces, and the
-power-mean inequality that makes the ladder nondecreasing.
+the skip of -u against the two-sign chain it replaces, the power-mean
+inequality that makes the ladder nondecreasing, and the interpolation
+inequality that closes the iteration.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from parabolab.experiments import Diagnosis, diagnose
 from parabolab.fields import SPACETIME, TIMESLICE, Field, make_grid
-from parabolab.moser import ALPHA_CANDIDATES, exp_moment, interpolation_check, l1_check, trace
+from parabolab.moser import ALPHA_CANDIDATES, exp_moment, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
 
 # (T, nt) with T <= 1 on the unit square: |Omega_T| <= 1, so a forcing
@@ -54,8 +55,6 @@ def _two_sign_chain(phi1, phi2, phi0, f, q, beta0=1.0, i_max=12):
     """The chain as it ran before the skip: always on u and on -u, with one
     norm call per exponent of f."""
     grid = f.grid
-    weight = grid.cell_volume * grid.dt
-    r = (1.0 + beta0) * q / (q - 1.0)
     f_norm_1, f_norm_crit, f_norm_q = (lq_spacetime(f, [p])[0]
                                        for p in (1.0, 1.0 + grid.dim / 2.0, q))
     scale = max(f_norm_crit, 1.0)
@@ -63,14 +62,14 @@ def _two_sign_chain(phi1, phi2, phi0, f, q, beta0=1.0, i_max=12):
     best = None
     moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
     for signed in (u, -u):
-        tr = trace(signed, beta0, q, i_max)
-        if best is None or tr.measured_sup > best[0].measured_sup:
-            best = (tr, interpolation_check(signed, r, min(1.0, 0.5 * r), weight))
-        for a, m in exp_moment(signed, ALPHA_CANDIDATES, weight).items():
+        tr = trace(signed, grid, beta0, q, i_max)
+        if best is None or tr.measured_sup > best.measured_sup:
+            best = tr
+        for a, m in exp_moment(signed, grid, ALPHA_CANDIDATES).items():
             moments[a] = max(moments[a], m)
     phi_sup = float(np.max(np.abs(phi1.values + phi2.values)))
     return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
-                     l1_check(u, grid, f_norm_1 / scale), best[0], best[1], moments)
+                     l1_check(u, grid, f_norm_1 / scale), best, moments)
 
 
 def _chains_agree(phi1, drift, forcing):
@@ -107,8 +106,26 @@ def test_running_minus_u_where_it_can_win_is_bit_identical(phi1, drift, forcing)
 
 @given(arrays(np.float64, SHAPE, elements=st.floats(-4.0, 4.0)), st.floats(0.1, 4.0))
 def test_rung_norms_are_nondecreasing_in_p(u, beta0):
-    t = trace(u, beta0, 4.0, i_max=12)
+    t = trace(u, GRID, beta0, 4.0, i_max=12)
     norms = [rung.norm for rung in t.ladder]
     for a, b in zip(norms, norms[1:]):
         assert b >= a * (1.0 - 1e-12)
     assert norms[-1] <= t.measured_sup * (1.0 + 1e-12)
+
+
+# the chain's oracle above reads the interpolation triple through trace,
+# so the triple is checked here against direct sums of w = max(e^u, 1)
+@given(arrays(np.float64, SHAPE, elements=st.one_of(st.just(0.0), st.floats(-4.0, 4.0))),
+       st.floats(0.1, 4.0))
+def test_interpolation_inequality_holds_and_matches_direct_sums(u, beta0):
+    lhs, rhs, passed = trace(u, GRID, beta0, 4.0).interpolation
+    assert passed
+    r = (1.0 + beta0) * 4.0 / 3.0
+    alpha = min(1.0, 0.5 * r)
+    w = np.maximum(np.exp(u), 1.0)
+    weight = GRID.cell_volume * GRID.dt
+    direct_lhs = (float(np.sum(w[1:] ** r)) * weight) ** (1.0 / r)
+    direct_rhs = (float(np.max(w)) ** ((r - alpha) / r)
+                  * (float(np.sum(w[1:] ** alpha)) * weight) ** (1.0 / r))
+    assert math.isclose(lhs, direct_lhs, rel_tol=1e-12)
+    assert math.isclose(rhs, direct_rhs, rel_tol=1e-12)
