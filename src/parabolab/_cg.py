@@ -1,4 +1,4 @@
-"""Matrix-free preconditioned conjugate gradients.
+"""Matrix-free conjugate gradients.
 
 Used for the symmetric positive definite systems produced by the implicit
 time stepper.  All inner products go through
@@ -14,17 +14,16 @@ from parabolab.errors import SolverError
 from parabolab.reductions import pairwise_sum
 
 
-def conjugate_gradient(apply_op, b, diag, x0, tol, max_iters):
-    """Solve ``apply_op(x) = b`` for SPD ``apply_op`` with Jacobi preconditioning.
+def conjugate_gradient(apply_op, b, x0, tol, max_iters):
+    """Solve ``apply_op(x) = b`` for SPD ``apply_op``, starting from ``x0``.
 
-    ``diag`` is the operator diagonal (or any SPD approximation of it),
-    ``x0`` the initial guess.  Convergence criterion: two-norm of the
-    residual relative to ``|b|_2 <= tol``.  Returns ``(x, rel_residual,
-    iterations)``.  Raises :class:`SolverError` carrying the last relative
-    residual if ``max_iters`` is exhausted, or if the operator reveals a
-    non-positive curvature direction (not SPD).
+    Convergence criterion: two-norm of the residual relative to
+    ``|b|_2 <= tol``; r.r is both that test and the step scalar.  Returns
+    ``(x, rel_residual, iterations)``.  Raises :class:`SolverError`
+    carrying the last relative residual if ``max_iters`` is exhausted, or
+    if the operator reveals a non-positive curvature direction (not SPD).
 
-    ``b``, ``diag`` and ``x0`` are left unchanged, and so is every array
+    ``b`` and ``x0`` are left unchanged, and so is every array
     ``apply_op`` returns; the iterates are updated in place.
     """
     b = np.asarray(b, dtype=np.float64)
@@ -35,13 +34,11 @@ def conjugate_gradient(apply_op, b, diag, x0, tol, max_iters):
     x = np.array(x0, dtype=np.float64, copy=True)
     r = b - apply_op(x)
     np.multiply(r, r, out=work)
-    rel = math.sqrt(pairwise_sum(work)) / bnorm
+    rr = pairwise_sum(work)
+    rel = math.sqrt(rr) / bnorm
     if rel <= tol:
         return x, rel, 0
-    z = r / diag
-    p = z.copy()
-    np.multiply(r, z, out=work)
-    rz = pairwise_sum(work)
+    p = r.copy()
     for iteration in range(1, int(max_iters) + 1):
         Ap = apply_op(p)
         np.multiply(p, Ap, out=work)
@@ -50,21 +47,19 @@ def conjugate_gradient(apply_op, b, diag, x0, tol, max_iters):
             raise SolverError(
                 f"operator is not positive definite along a search direction (p^T A p = {pAp:.3e})",
                 residual=rel)
-        alpha = rz / pAp
+        alpha = rr / pAp
         np.multiply(alpha, p, out=work)
         x += work
         np.multiply(alpha, Ap, out=work)
         r -= work
         np.multiply(r, r, out=work)
-        rel = math.sqrt(pairwise_sum(work)) / bnorm
+        rr_next = pairwise_sum(work)
+        rel = math.sqrt(rr_next) / bnorm
         if rel <= tol:
             return x, rel, iteration
-        np.divide(r, diag, out=z)
-        np.multiply(r, z, out=work)
-        rz_next = pairwise_sum(work)
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
+        p *= rr_next / rr
+        p += r
+        rr = rr_next
     raise SolverError(
         f"conjugate gradients stalled at relative residual {rel:.3e} "
         f"after {int(max_iters)} iterations (tol {tol:.1e})",

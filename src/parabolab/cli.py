@@ -30,26 +30,30 @@ def _print_checks(checks) -> int:
     return 0 if all(check.passed for check in checks) else 3
 
 
-def _ensure_out(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
+def _ensure_out(out):
+    """Create the output directory, if one is named, before any work is done."""
+    if out:
+        os.makedirs(out, exist_ok=True)
     return out
 
 
 def _cmd_solve(args) -> int:
+    out = _ensure_out(args.out)
     bundle = load_config(args.config)
     sol = solve_ibvp(bundle.spec, opts=bundle.solve_options)
     print(f"steps            = {sol.steps}")
     print(f"sup |phi|        = {ess_sup(sol.phi):.12g}")
     print(f"max residual     = {max(sol.residuals):.12g}")
     print(f"total iterations = {sol.total_iterations}")
-    if args.out:
-        path = os.path.join(_ensure_out(args.out), "solution.txt")
+    if out:
+        path = os.path.join(out, "solution.txt")
         export_solution(sol, path)
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_diagnose(args) -> int:
+    out = _ensure_out(args.out)
     bundle = load_config(args.config)
     spec = bundle.spec
     beta0 = args.beta0 if args.beta0 is not None else \
@@ -71,8 +75,7 @@ def _cmd_diagnose(args) -> int:
     print(f"ladder rungs     = {len(tr.ladder)} (top p = {tr.ladder[-1].exponent:.12g})")
     print(f"extrapolated sup = {tr.extrapolated_sup:.12g}")
     print(f"measured sup     = {tr.measured_sup:.12g}")
-    if args.out:
-        out = _ensure_out(args.out)
+    if out:
         with open(os.path.join(out, "trace.csv"), "w") as fh:
             fh.write(trace_to_csv(tr))
         with open(os.path.join(out, "report.txt"), "w") as fh:
@@ -86,11 +89,12 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    out = _ensure_out(args.out)
     ledger = build_ledger(args.N, args.q, args.beta0, args.alpha)
     text = ledger_to_text(ledger)
     print(text, end="")
-    if args.out:
-        path = os.path.join(_ensure_out(args.out), "ledger.txt")
+    if out:
+        path = os.path.join(out, "ledger.txt")
         with open(path, "w") as fh:
             fh.write(text)
         print(f"wrote {path}")
@@ -98,6 +102,7 @@ def _cmd_ledger(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    out = _ensure_out(args.out or ".")
     bundle = load_config(args.config)
     if bundle.sweep is None:
         raise ConfigurationError(f"{args.config}: sweep requires a [sweep] section")
@@ -109,7 +114,6 @@ def _cmd_sweep(args) -> int:
                        opts=bundle.solve_options, threads=args.threads,
                        beta0=settings.beta0, i_max=settings.i_max,
                        moment_cap=settings.moment_cap)
-    out = _ensure_out(args.out or ".")
     export(result, os.path.join(out, "sweep.csv"), "csv")
     export(result, os.path.join(out, "sweep.svg"), "svg-plot")
     if result.diagnoses:
@@ -196,7 +200,7 @@ def run(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.handler(args)
-    except (ConfigurationError, ResolutionError) as err:
+    except (ConfigurationError, ResolutionError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
     except (SolverError, RangeError, DomainError, EvaluationError, FitError,

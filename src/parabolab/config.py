@@ -60,9 +60,13 @@ class ConfigBundle:
 
 
 def parse_numbers(text: str, key: str, kind=float):
-    """Comma- or space-separated numbers of kind; a ConfigurationError names key."""
+    """Comma- or space-separated numbers of kind; a ConfigurationError names key,
+    also for an empty component (``32,,32``, ``0.25,``)."""
+    parts = text.split(",")
+    if len(parts) > 1 and not all(part.strip() for part in parts):
+        raise ConfigurationError(f"{key}: empty component in {text!r}")
     try:
-        return [kind(tok) for tok in text.replace(",", " ").split()]
+        return [kind(tok) for part in parts for tok in part.split()]
     except ValueError as err:
         raise ConfigurationError(f"{key}: cannot parse numbers from {text!r}") from err
 

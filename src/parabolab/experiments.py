@@ -280,6 +280,8 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
     eps_values = sorted(set(float(e) for e in eps_list), reverse=True)
     if not eps_values:
         raise ConfigurationError("empty sweep: no eps values supplied")
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     grid = template.grid
     q = template.q
     for eps in eps_values:

@@ -6,10 +6,10 @@
 on a cell-centered grid.  Each step solves (I + dt L) phi^{n+1} =
 phi^n + dt f^{n+1} where L discretizes -div(A grad .) + omega with
 coefficients frozen at the new time level (fully implicit).  L is the
-:class:`Stencil`, whose docstring states the discretisation.  All
-linear algebra is matrix-free with diagonal preconditioning, and every
-reduction goes through :func:`parabolab.reductions.pairwise_sum`, so
-repeated runs on one numpy build are bit-identical.
+:class:`Stencil`, whose docstring states the discretisation.  Each step
+is one matrix-free conjugate-gradient solve, and every reduction goes
+through :func:`parabolab.reductions.pairwise_sum`, so repeated runs on
+one numpy build are bit-identical.
 """
 
 from dataclasses import dataclass, replace
@@ -79,10 +79,6 @@ class Stencil:
     reads odd ghosts (ghost = -edge cell, wall value 0), and its
     transpose reads even ghosts with the sign reversed.
 
-    ``diagonal`` is omega plus the two face coefficients of each axis.
-    It is exact for the axis terms; the cross terms are left out, as they
-    reach the diagonal only on cells at the boundary of both their axes.
-
     :meth:`apply` works in scratch arrays fixed at construction, so one
     instance must not be applied from two threads at once; every solve
     builds its own.
@@ -95,16 +91,13 @@ class Stencil:
         self.cross = tuple(cross)
         self.omega = omega
         self.faces = []
-        diagonal = np.full(shape, omega, dtype=np.float64)
         for axis, (h, a) in enumerate(zip(self.h, diag_coeffs)):
             a = np.broadcast_to(np.asarray(a, dtype=np.float64), shape)
             face = np.concatenate([2.0 * a[_sl(nd, axis, slice(0, 1))],
                                    0.5 * (a[_sl(nd, axis, slice(None, -1))]
                                           + a[_sl(nd, axis, slice(1, None))]),
                                    2.0 * a[_sl(nd, axis, slice(-1, None))]], axis=axis) / (h * h)
-            diagonal += face[_sl(nd, axis, slice(None, -1))] + face[_sl(nd, axis, slice(1, None))]
             self.faces.append(face)
-        self.diagonal = diagonal
         # scratch of apply: u inside a zero wall on every side, per-axis
         # scratch, and the central difference along each axis a cross
         # term couples
@@ -195,13 +188,13 @@ class _AxisScratch:
 
 
 def _backward_euler(L: Stencil, dt: float):
-    """Operator and Jacobi diagonal of the step system (I + dt L) x = rhs."""
+    """The operator of the step system (I + dt L) x = rhs."""
     def apply_op(u):
         y = L.apply(u)
         y *= dt
         y += u
         return y
-    return apply_op, 1.0 + dt * L.diagonal
+    return apply_op
 
 
 def _coefficients_static(spec: ProblemSpec) -> bool:
@@ -237,11 +230,10 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     dt = g.dt
     for n in range(g.nt):
         if n == 0 or not static:
-            apply_op, diag = _backward_euler(Stencil.at(spec, n + 1), dt)
+            apply_op = _backward_euler(Stencil.at(spec, n + 1), dt)
         rhs = phi[n] + dt * fvals[n + 1]
         try:
-            x, rel, iters = conjugate_gradient(apply_op, rhs, diag, phi[n],
-                                               opts.tol, cap)
+            x, rel, iters = conjugate_gradient(apply_op, rhs, phi[n], opts.tol, cap)
         except SolverError as err:
             raise SolverError(f"step {n + 1}: {err}", residual=err.residual,
                               step_index=n + 1) from err
@@ -289,6 +281,5 @@ def export_solution(solution: Solution, path: str) -> None:
         fh.write("# " + " ".join([str(g.dim)] + [str(n) for n in g.nx]
                                  + [str(g.nt), repr(g.T)]) + "\n")
         fh.write("# box " + " ".join(f"{lo!r},{hi!r}" for lo, hi in g.box) + "\n")
-        flat = solution.phi.values.reshape(-1)
-        fh.write("\n".join(f"{v:.17g}" for v in flat))
-        fh.write("\n")
+        for level in solution.phi.values:
+            fh.write("".join(f"{v:.17g}\n" for v in level.flat))

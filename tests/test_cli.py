@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from parabolab import cli
 from parabolab.cli import run
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -118,6 +119,7 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
 @pytest.mark.parametrize("line, value, key", [("T = 0.5", "T = abc", "grid.T"),
                                               ("tol = 1e-10", "tol = 1e-1O", "solver.tol"),
                                               ("nx = 32,32", "nx = 32.9,32", "grid.nx"),
+                                              ("nx = 32,32", "nx = 32,,32", "grid.nx"),
                                               (F_LINE, "f = ", "forcing.f"),
                                               (F_LINE, "f = sine amplitude= decay=1.0",
                                                "forcing.f"),
@@ -125,8 +127,8 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
                                                "forcing.f"),
                                               (F_LINE, "f = sine amplitud=12.0 decay=1.0",
                                                "forcing.f")],
-                         ids=["T", "tol", "nx", "f_empty", "f_no_value", "f_vector",
-                              "f_unknown_parameter"])
+                         ids=["T", "tol", "nx", "nx_empty_component", "f_empty", "f_no_value",
+                              "f_vector", "f_unknown_parameter"])
 def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
     text = open(DEMO).read()
     assert line in text
@@ -155,9 +157,38 @@ def test_sweep_without_sweep_section_fails_cleanly():
     assert run(["sweep", "--config", DEMO]) == 1
 
 
-def test_malformed_eps_list_is_a_configuration_error(tmp_path, capsys):
-    # once a bare ValueError out of run
-    assert run(["sweep", "--config", SMALL, "--eps-list", "0.25,abc",
+# 0.25,abc was once a bare ValueError out of run; the empty components
+# were once dropped, so 0.25,,0.5 ran a two-eps sweep
+@pytest.mark.parametrize("eps_list", ["0.25,abc", "0.25,,0.5", "0.25,"])
+def test_malformed_eps_list_is_a_configuration_error(tmp_path, capsys, eps_list):
+    assert run(["sweep", "--config", SMALL, "--eps-list", eps_list,
                 "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "--eps-list" in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a solve or sweep ran")
+
+
+# --out naming a regular file once raised FileExistsError out of run,
+# and sweep did so only after the whole sweep
+@pytest.mark.parametrize("argv", [["solve", "--config", DEMO], ["diagnose", "--config", DEMO],
+                                  ["ledger", "--N", "2", "--q", "4"],
+                                  ["sweep", "--config", SMALL]],
+                         ids=["solve", "diagnose", "ledger", "sweep"])
+def test_out_naming_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    for name in ("solve_ibvp", "solve_split", "run_sweep"):
+        monkeypatch.setattr(cli, name, _no_work)
+    taken = os.path.join(tmp_path, "taken")
+    open(taken, "w").close()
+    assert run(argv + ["--out", taken]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+# both once ran the sweep serially with exit 0
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_configuration_error(tmp_path, capsys, threads):
+    assert run(["sweep", "--config", SMALL, "--threads", threads, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "threads" in err

@@ -1,9 +1,12 @@
-"""Property tests of the diagnostic chain (hypothesis, derandomized in conftest).
+"""Property tests of the solver and the diagnostic chain (hypothesis,
+derandomized in conftest).
 
-The power-sum kernel and the L^p norms built on it against direct sums,
-the skip of -u against the two-sign chain it replaces, the power-mean
-inequality that makes the ladder nondecreasing, and the interpolation
-inequality that closes the iteration.
+The symmetry and positivity of the backward-Euler step operator that
+conjugate gradients relies on, the power-sum kernel and the L^p norms
+built on it against direct sums, the skip of -u against the two-sign
+chain it replaces, the power-mean inequality that makes the ladder
+nondecreasing, and the interpolation inequality that closes the
+iteration.
 """
 
 import math
@@ -17,11 +20,43 @@ from parabolab.experiments import Diagnosis, diagnose
 from parabolab.fields import SPACETIME, TIMESLICE, Field, make_grid
 from parabolab.moser import ALPHA_CANDIDATES, exp_moment, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
+from parabolab.solver import Stencil, _backward_euler
 
 # (T, nt) with T <= 1 on the unit square: |Omega_T| <= 1, so a forcing
 # bounded by 1 has critical norm <= 1 and normalization leaves u = phi1
 GRID = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 5], 0.75, 3)
 SHAPE = GRID.shape_spacetime
+
+
+@st.composite
+def step_systems(draw):
+    """(M, u, v, has_cross) with M = I + dt L on 1-3 axes: a scalar or an
+    array a_kk in [0.5, 2], optional cross terms |c| <= 0.3, omega >= 0."""
+    nx = draw(st.lists(st.integers(4, 8), min_size=1, max_size=3))
+    grid = make_grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx, 1.0, 2)
+    shape = grid.shape_space
+
+    def coefficient(low, high):
+        return draw(st.one_of(st.floats(low, high),
+                              arrays(np.float64, shape, elements=st.floats(low, high))))
+
+    cross = [(k, j, coefficient(-0.3, 0.3)) for k in range(len(nx))
+             for j in range(k + 1, len(nx)) if draw(st.booleans())]
+    L = Stencil(grid, [coefficient(0.5, 2.0) for _ in nx], cross, coefficient(0.0, 2.0))
+    u, v = (draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))) for _ in "uv")
+    return _backward_euler(L, draw(st.floats(1e-3, 1.0))), u, v, bool(cross)
+
+
+# u.Mv against v.Mu relative to |u| |Mv|, the Cauchy-Schwarz bound of
+# u.Mv (one entry of Mv can cancel to far below its rounding); without
+# cross terms L is positive semidefinite, so u.Mu >= |u|^2
+@given(step_systems())
+def test_step_operator_is_symmetric_and_positive_without_cross_terms(system):
+    apply_op, u, v, has_cross = system
+    Mu, Mv = apply_op(u), apply_op(v)
+    assert abs(np.sum(u * Mv) - np.sum(v * Mu)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv)
+    if not has_cross:
+        assert np.sum(u * Mu) >= (1.0 - 1e-12) * np.sum(u * u)
 
 
 @given(arrays(np.float64, st.integers(0, 40), elements=st.floats(-5.0, 5.0)),

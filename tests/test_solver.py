@@ -129,44 +129,17 @@ def test_cross_terms_keep_solver_symmetric():
     assert math.isclose(np.sum(u * L.apply(v)), np.sum(L.apply(u) * v), rel_tol=1e-12)
 
 
-def _unit_responses(L, shape):
-    """(L e_i)_i for every unit vector e_i."""
-    out = np.empty(shape)
-    for i in np.ndindex(shape):
-        e = np.zeros(shape)
-        e[i] = 1.0
-        out[i] = L.apply(e)[i]
-    return out
-
-
 @pytest.mark.parametrize("box, nx", [([(0.0, 1.0)], [7]),
                                      ([(0.0, 1.0), (0.0, 0.75)], [5, 6]),
                                      ([(0.0, 1.0), (0.0, 0.75), (0.0, 2.0)], [4, 5, 4])])
-def test_stencil_diagonal_is_exact(box, nx):
+def test_scalar_and_constant_array_coefficients_give_one_operator(box, nx):
     rng = np.random.default_rng(len(nx))
     g = make_grid(box, nx, 1.0, 2)
     shape = g.shape_space
-    idx = np.indices(shape)
-    on_both = np.all([(idx[k] == 0) | (idx[k] == n - 1) for k, n in enumerate(shape[:2])], axis=0)
-    spatial = 0.5 + rng.random(shape)
-    for a in (2.0, spatial, np.full(shape, 2.0)):
-        coeffs = [a * (k + 1) for k in range(g.dim)]
-        for omega in (0.0, 1.5, rng.random(shape)):
-            L = Stencil(g, coeffs, omega=omega)
-            assert np.array_equal(L.diagonal, _unit_responses(L, shape))
-            if g.dim > 1:
-                # a cross term reaches the diagonal only on cells at the
-                # boundary of both its axes, where the Jacobi diagonal omits it
-                Lx = Stencil(g, coeffs, [(0, 1, 0.2 * spatial)], omega)
-                differs = Lx.diagonal != _unit_responses(Lx, shape)
-                assert differs.any()
-                assert not np.any(differs & ~on_both)
-    # a scalar coefficient and the same constant array give the same operator
     u = rng.normal(size=shape)
     scalar = Stencil(g, [2.0] * g.dim, omega=1.5)
     array = Stencil(g, [np.full(shape, 2.0)] * g.dim, omega=1.5)
     assert np.array_equal(scalar.apply(u), array.apply(u))
-    assert np.array_equal(scalar.diagonal, array.diagonal)
 
 
 def _sl(nd, axis, s):
@@ -232,29 +205,27 @@ def test_stencil_apply_matches_the_diff_form_bit_for_bit():
         assert np.array_equal(L.apply(v), Lv)
 
 
-def _textbook_cg(apply_op, b, diag, x0, tol, max_iters):
-    """Jacobi-preconditioned CG with fresh arrays at every update."""
+def _textbook_cg(apply_op, b, x0, tol, max_iters):
+    """Unpreconditioned CG with fresh arrays at every update."""
     bnorm = math.sqrt(pairwise_sum(b * b))
     x = x0.copy()
     r = b - apply_op(x)
-    rel = math.sqrt(pairwise_sum(r * r)) / bnorm
+    rr = pairwise_sum(r * r)
+    rel = math.sqrt(rr) / bnorm
     if rel <= tol:
         return x, rel, 0
-    z = r / diag
-    p = z.copy()
-    rz = pairwise_sum(r * z)
+    p = r.copy()
     for iteration in range(1, max_iters + 1):
         Ap = apply_op(p)
-        alpha = rz / pairwise_sum(p * Ap)
+        alpha = rr / pairwise_sum(p * Ap)
         x = x + alpha * p
         r = r - alpha * Ap
-        rel = math.sqrt(pairwise_sum(r * r)) / bnorm
+        rr_next = pairwise_sum(r * r)
+        rel = math.sqrt(rr_next) / bnorm
         if rel <= tol:
             return x, rel, iteration
-        z = r / diag
-        rz_next = pairwise_sum(r * z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
+        p = r + (rr_next / rr) * p
+        rr = rr_next
     return x, rel, max_iters
 
 
@@ -265,16 +236,16 @@ def _cross_term_step_system():
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)})
     omega = Field(g, rng.random(g.shape_space), TIMESLICE)
     spec = ProblemSpec(g, A, omega, Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE))
-    apply_op, diag = _backward_euler(Stencil.at(spec, 1), g.dt)
+    apply_op = _backward_euler(Stencil.at(spec, 1), g.dt)
     history = rng.normal(size=(3, *g.shape_space))
     b = history[1] + g.dt * rng.normal(size=g.shape_space)
-    return apply_op, b, diag, history
+    return apply_op, b, history
 
 
 def test_cg_matches_textbook_cg_and_leaves_its_inputs_alone():
-    apply_op, b, diag, history = _cross_term_step_system()
+    apply_op, b, history = _cross_term_step_system()
     x0 = history[1]
-    saved = [a.copy() for a in (b, diag, history)]
+    saved = [a.copy() for a in (b, history)]
     returned = []
 
     def recording_op(u):
@@ -282,24 +253,24 @@ def test_cg_matches_textbook_cg_and_leaves_its_inputs_alone():
         returned.append((y, y.copy()))
         return y
 
-    x, rel, iters = conjugate_gradient(recording_op, b, diag, x0, 1e-10, 500)
-    want_x, want_rel, want_iters = _textbook_cg(apply_op, b, diag, x0, 1e-10, 500)
+    x, rel, iters = conjugate_gradient(recording_op, b, x0, 1e-10, 500)
+    want_x, want_rel, want_iters = _textbook_cg(apply_op, b, x0, 1e-10, 500)
     assert iters == want_iters > 5
     assert rel == want_rel <= 1e-10
     assert np.array_equal(x, want_x)
-    for before, after in zip(saved, (b, diag, history)):
+    for before, after in zip(saved, (b, history)):
         assert np.array_equal(before, after)
     assert all(np.array_equal(y, copy) for y, copy in returned)
 
 
 def test_cg_failures_carry_their_residuals():
-    apply_op, b, diag, history = _cross_term_step_system()
+    apply_op, b, history = _cross_term_step_system()
     with pytest.raises(SolverError, match="not positive definite") as err:
-        conjugate_gradient(lambda u: -u, b, diag, np.zeros_like(b), 1e-10, 50)
+        conjugate_gradient(lambda u: -u, b, np.zeros_like(b), 1e-10, 50)
     assert err.value.residual == 1.0
-    _, stalled_rel, _ = _textbook_cg(apply_op, b, diag, history[0], 1e-10, 3)
+    _, stalled_rel, _ = _textbook_cg(apply_op, b, history[0], 1e-10, 3)
     with pytest.raises(SolverError, match="stalled") as err:
-        conjugate_gradient(apply_op, b, diag, history[0], 1e-10, 3)
+        conjugate_gradient(apply_op, b, history[0], 1e-10, 3)
     assert err.value.residual == stalled_rel > 1e-10
 
 
@@ -313,9 +284,9 @@ def test_time_dependent_omega_matches_manual_stepping():
     # each step rebuilt by hand from the operator frozen at the new level
     state = np.zeros(g.shape_space)
     for k in range(5):
-        apply_op, diag = _backward_euler(Stencil.at(spec, k + 1), g.dt)
+        apply_op = _backward_euler(Stencil.at(spec, k + 1), g.dt)
         rhs = state + g.dt * spec.f.values[k + 1]
-        state, _, _ = conjugate_gradient(apply_op, rhs, diag, state, 1e-10, 10 * g.num_cells)
+        state, _, _ = conjugate_gradient(apply_op, rhs, state, 1e-10, 10 * g.num_cells)
         assert np.array_equal(sol.phi.values[k + 1], state)
 
 
