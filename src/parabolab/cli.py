@@ -19,7 +19,7 @@ from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError,
                               SolverError)
 from parabolab.experiments import (Check, _sweep_text, convergence_orders, diagnose,
                                    diagnosis_checks, export, run_sweep, sweep_checks)
-from parabolab.moser import assemble_bound, bound_to_text, trace_to_csv
+from parabolab.moser import assemble_bound, bound_to_text, check_ladder, trace_to_csv
 from parabolab.norms import ess_sup
 from parabolab.solver import export_solution, solve_ibvp, solve_split
 
@@ -59,6 +59,7 @@ def _cmd_diagnose(args) -> int:
     beta0 = args.beta0 if args.beta0 is not None else \
         (bundle.sweep.beta0 if bundle.sweep else 1.0)
     i_max = bundle.sweep.i_max if bundle.sweep else 12
+    check_ladder(beta0, i_max)
     forced, drift = solve_split(spec, opts=bundle.solve_options)
     d = diagnose(forced.phi, drift.phi, spec.phi0, spec.f, spec.q, beta0, i_max)
     report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,

@@ -9,7 +9,7 @@ Grammar: INI sections with `key = value` lines.
   [forcing]       f = <function>, phi0 = <function>
   [sweep]         eps = 0.25,0.125,...  gamma, x0, t0, amplitude, beta0,
                   i_max, moment_cap (all optional except eps)
-  [solver]        tol, max_iters (optional)
+  [solver]        tol (optional; the section takes no other key)
 
 Function values are `name key=val ...`, taking only the parameters
 listed, one number each (comma-separated for center, x0).  Names:
@@ -269,6 +269,8 @@ def load_config(path: str) -> ConfigBundle:
     opts = SolveOptions()
     if "solver" in parser:
         sv = parser["solver"]
-        opts = SolveOptions(_scalar(sv, "solver", "tol", default=1e-10),
-                            _scalar(sv, "solver", "max_iters", int))
+        for key in sv:
+            if key != "tol":
+                raise ConfigurationError(f"solver.{key}: unknown key ([solver] takes tol only)")
+        opts = SolveOptions(_scalar(sv, "solver", "tol", default=1e-10))
     return ConfigBundle(grid, spec, sweep, opts)

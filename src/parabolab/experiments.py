@@ -30,8 +30,8 @@ from parabolab.errors import (ConfigurationError, DomainError, FitError, Resolut
                               SolverError)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
                               ProblemSpec, make_grid, sample, sample_initial)
-from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, choose_alpha,
-                             exp_moment, l1_check, trace)
+from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, check_ladder,
+                             choose_alpha, exp_moment, l1_check, trace)
 from parabolab.norms import ess_sup, exp_or_inf, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
@@ -270,7 +270,8 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
 
     The template's forcing is replaced by the family member at each eps;
     everything else (grid, coefficients, initial data, q) is shared.
-    Every eps passes :func:`check_bump` before the first solve.  A row
+    Every eps passes :func:`check_bump`, and beta0 and i_max pass
+    :func:`check_ladder`, before the first solve.  A row
     whose solve raises :class:`SolverError` goes to ``skipped`` with the
     error's text; :func:`diagnose` raises nothing on a solved row.  alpha
     is chosen once for the whole sweep: the largest 2^-k below r whose
@@ -282,6 +283,7 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
         raise ConfigurationError("empty sweep: no eps values supplied")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    check_ladder(beta0, i_max)
     grid = template.grid
     q = template.q
     for eps in eps_values:

@@ -115,12 +115,18 @@ def chi(N: int, q: float) -> float:
     return (N + 2.0) / N * (q - 1.0) / q
 
 
-def ladder(beta0: float, q: float, N: int, i_max: int = 12):
-    """Exponent ladder p_i = (1+beta0) * (q/(q-1)) * chi^i for i = 0..i_max."""
+def check_ladder(beta0: float, i_max: int) -> None:
+    """Refuse a ladder start beta0 <= 0 or a top index i_max < 0 (DomainError);
+    the commands call it before their first solve."""
     if not beta0 > 0.0:
         raise DomainError(f"beta0 must be positive, got {beta0}")
     if i_max < 0:
         raise DomainError(f"i_max must be >= 0, got {i_max}")
+
+
+def ladder(beta0: float, q: float, N: int, i_max: int = 12):
+    """Exponent ladder p_i = (1+beta0) * (q/(q-1)) * chi^i for i = 0..i_max."""
+    check_ladder(beta0, i_max)
     c = chi(N, q)
     base = (1.0 + beta0) * q / (q - 1.0)
     return [base * c ** i for i in range(int(i_max) + 1)]

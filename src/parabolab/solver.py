@@ -3,11 +3,12 @@
     dphi/dt - div(A grad phi) + omega phi = f,   phi = 0 on the lateral
     boundary,  phi(., 0) = phi0,
 
-on a cell-centered grid.  Each step solves (I + dt L) phi^{n+1} =
-phi^n + dt f^{n+1} where L discretizes -div(A grad .) + omega with
-coefficients frozen at the new time level (fully implicit).  L is the
-:class:`Stencil`, whose docstring states the discretisation.  Each step
-is one matrix-free conjugate-gradient solve, and every reduction goes
+on a cell-centered grid.  Each step solves (L + I/dt) phi^{n+1} =
+phi^n/dt + f^{n+1} where L discretizes -div(A grad .) + omega with
+coefficients frozen at the new time level (fully implicit).  L + I/dt
+is the :class:`Stencil` with omega shifted by 1/dt, and its docstring
+states the discretisation.  Each step is one matrix-free
+conjugate-gradient solve on :meth:`Stencil.apply`, and every reduction goes
 through :func:`parabolab.reductions.pairwise_sum`, so repeated runs on
 one numpy build are bit-identical.
 """
@@ -23,20 +24,13 @@ from parabolab.fields import SPACETIME, TIMESLICE, Field, Grid, ProblemSpec, val
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Linear-solver knobs; the time scheme itself is fixed."""
+    """The CG tolerance, the one key of a config's ``[solver]`` section;
+    the time scheme and the iteration cap (10 x the unknown count) are fixed."""
     tol: float = 1e-10
-    max_iters: int = None  # default 10 * unknown count
 
     def __post_init__(self):
         if not 0.0 < self.tol <= 1e-4:
             raise ConfigurationError(f"solver tolerance must lie in (0, 1e-4], got {self.tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-
-    def iteration_cap(self, grid: Grid) -> int:
-        if self.max_iters is not None:
-            return int(self.max_iters)
-        return 10 * grid.num_cells
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,10 @@ class Stencil:
         self._grads = {axis: np.empty(shape) for k, j, _ in self.cross for axis in (k, j)}
 
     @classmethod
-    def at(cls, spec: ProblemSpec, t_index: int) -> "Stencil":
-        """The operator with the coefficients of ``spec`` frozen at time level t_index."""
+    def at(cls, spec: ProblemSpec, t_index: int, shift: float = 0.0) -> "Stencil":
+        """The operator with the coefficients of ``spec`` frozen at time level
+        t_index and ``shift`` added to omega; shift = 1/dt gives the
+        backward-Euler step operator L + I/dt."""
         nd = spec.grid.dim
         cross = []
         for k in range(nd):
@@ -120,7 +116,7 @@ class Stencil:
                 if not (np.isscalar(c) and c == 0.0):
                     cross.append((k, j, c))
         return cls(spec.grid, [spec.A.at_time(k, k, t_index) for k in range(nd)],
-                   cross, spec.omega_at(t_index))
+                   cross, spec.omega_at(t_index) + shift)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u, as a new array that the caller owns."""
@@ -187,16 +183,6 @@ class _AxisScratch:
         self.ghosted[self.last] = last
 
 
-def _backward_euler(L: Stencil, dt: float):
-    """The operator of the step system (I + dt L) x = rhs."""
-    def apply_op(u):
-        y = L.apply(u)
-        y *= dt
-        y += u
-        return y
-    return apply_op
-
-
 def _coefficients_static(spec: ProblemSpec) -> bool:
     for k in range(spec.grid.dim):
         for j in range(k, spec.grid.dim):
@@ -220,7 +206,7 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     _require_admissible(spec)
     opts = opts or SolveOptions()
     g = spec.grid
-    cap = opts.iteration_cap(g)
+    cap = 10 * g.num_cells
     phi = np.empty(g.shape_spacetime)
     phi[0] = spec.phi0.values
     static = _coefficients_static(spec)
@@ -230,10 +216,10 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     dt = g.dt
     for n in range(g.nt):
         if n == 0 or not static:
-            apply_op = _backward_euler(Stencil.at(spec, n + 1), dt)
-        rhs = phi[n] + dt * fvals[n + 1]
+            step = Stencil.at(spec, n + 1, 1.0 / dt)
+        rhs = phi[n] / dt + fvals[n + 1]
         try:
-            x, rel, iters = conjugate_gradient(apply_op, rhs, phi[n], opts.tol, cap)
+            x, rel, iters = conjugate_gradient(step.apply, rhs, phi[n], opts.tol, cap)
         except SolverError as err:
             raise SolverError(f"step {n + 1}: {err}", residual=err.residual,
                               step_index=n + 1) from err

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from parabolab import cli
+from parabolab import cli, experiments
 from parabolab.cli import run
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -115,7 +115,8 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
 
 
 # the four forcing.f values once raised IndexError, TypeError, TypeError,
-# and (a misspelt parameter) ran silently with amplitude 1
+# and (a misspelt parameter) ran silently with amplitude 1; [solver] takes
+# tol only, so a file that sets another key does not run silently without it
 @pytest.mark.parametrize("line, value, key", [("T = 0.5", "T = abc", "grid.T"),
                                               ("tol = 1e-10", "tol = 1e-1O", "solver.tol"),
                                               ("nx = 32,32", "nx = 32.9,32", "grid.nx"),
@@ -126,9 +127,11 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
                                               (F_LINE, "f = sine amplitude=12,3 decay=1.0",
                                                "forcing.f"),
                                               (F_LINE, "f = sine amplitud=12.0 decay=1.0",
-                                               "forcing.f")],
+                                               "forcing.f"),
+                                              ("tol = 1e-10", "tol = 1e-10\nmax_iters = 100",
+                                               "solver.max_iters")],
                          ids=["T", "tol", "nx", "nx_empty_component", "f_empty", "f_no_value",
-                              "f_vector", "f_unknown_parameter"])
+                              "f_vector", "f_unknown_parameter", "solver_unknown_key"])
 def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
     text = open(DEMO).read()
     assert line in text
@@ -192,3 +195,26 @@ def test_threads_below_one_is_a_configuration_error(tmp_path, capsys, threads):
     assert run(["sweep", "--config", SMALL, "--threads", threads, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "threads" in err
+
+
+# each once failed only in diagnose, after the solve (sweep: every probe)
+@pytest.mark.parametrize("argv, edit, key", [
+    (["diagnose", "--beta0", "-1"], {}, "beta0"),
+    (["diagnose"], {"i_max = 12": "i_max = -1"}, "i_max"),
+    (["sweep", "--threads", "2"], {"i_max = 12": "i_max = -1"}, "i_max"),
+    (["sweep"], {"beta0 = 1.0": "beta0 = 0.0"}, "beta0")],
+    ids=["diagnose_beta0", "diagnose_i_max", "sweep_i_max", "sweep_beta0"])
+def test_bad_ladder_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                   argv, edit, key):
+    monkeypatch.setattr(cli, "solve_split", _no_work)
+    monkeypatch.setattr(experiments, "solve_split", _no_work)
+    text = open(SMALL).read()
+    for line, value in edit.items():
+        assert line in text
+        text = text.replace(line, value)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run(argv + ["--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err

@@ -2,7 +2,8 @@
 derandomized in conftest).
 
 The symmetry and positivity of the backward-Euler step operator that
-conjugate gradients relies on, the power-sum kernel and the L^p norms
+conjugate gradients relies on, the superposition of split solves and of
+forcings, the power-sum kernel and the L^p norms
 built on it against direct sums, the skip of -u against the two-sign
 chain it replaces, the power-mean inequality that makes the ladder
 nondecreasing, and the interpolation inequality that closes the
@@ -10,6 +11,7 @@ iteration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from parabolab.experiments import Diagnosis, diagnose
-from parabolab.fields import SPACETIME, TIMESLICE, Field, make_grid
+from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient, ProblemSpec,
+                              make_grid)
 from parabolab.moser import ALPHA_CANDIDATES, exp_moment, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
-from parabolab.solver import Stencil, _backward_euler
+from parabolab.solver import Stencil, solve_ibvp, solve_split
 
 # (T, nt) with T <= 1 on the unit square: |Omega_T| <= 1, so a forcing
 # bounded by 1 has critical norm <= 1 and normalization leaves u = phi1
@@ -30,33 +33,82 @@ SHAPE = GRID.shape_spacetime
 
 @st.composite
 def step_systems(draw):
-    """(M, u, v, has_cross) with M = I + dt L on 1-3 axes: a scalar or an
-    array a_kk in [0.5, 2], optional cross terms |c| <= 0.3, omega >= 0."""
+    """(M, dt, u, v, has_cross) with M = L + I/dt on 1-3 axes: a scalar or
+    an array a_kk in [0.5, 2], optional cross terms |c| <= 0.3, omega >= 0."""
     nx = draw(st.lists(st.integers(4, 8), min_size=1, max_size=3))
     grid = make_grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx, 1.0, 2)
     shape = grid.shape_space
-
-    def coefficient(low, high):
-        return draw(st.one_of(st.floats(low, high),
-                              arrays(np.float64, shape, elements=st.floats(low, high))))
-
-    cross = [(k, j, coefficient(-0.3, 0.3)) for k in range(len(nx))
+    cross = [(k, j, _coefficient(draw, shape, -0.3, 0.3)) for k in range(len(nx))
              for j in range(k + 1, len(nx)) if draw(st.booleans())]
-    L = Stencil(grid, [coefficient(0.5, 2.0) for _ in nx], cross, coefficient(0.0, 2.0))
-    u, v = (draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))) for _ in "uv")
-    return _backward_euler(L, draw(st.floats(1e-3, 1.0))), u, v, bool(cross)
+    diag = [_coefficient(draw, shape, 0.5, 2.0) for _ in nx]
+    omega = _coefficient(draw, shape, 0.0, 2.0)
+    u, v = (draw(_unit_arrays(shape)) for _ in "uv")
+    dt = draw(st.floats(1e-3, 1.0))
+    return Stencil(grid, diag, cross, omega + 1.0 / dt).apply, dt, u, v, bool(cross)
+
+
+def _unit_arrays(shape):
+    return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+
+
+def _coefficient(draw, shape, low, high):
+    """A scalar or an array of the given shape with entries in [low, high]."""
+    return draw(st.one_of(st.floats(low, high),
+                          arrays(np.float64, shape, elements=st.floats(low, high))))
+
+
+@st.composite
+def problems(draw):
+    """A problem on 1-3 axes of 4-6 cells over 2-5 steps: a scalar or an
+    array a_kk in [0.5, 2], optional cross terms |c| <= 0.2 (so the
+    smallest eigenvalue of A stays above 0.1 > lambda), omega >= 0, and f
+    and phi0 in [-1, 1]."""
+    nx = draw(st.lists(st.integers(4, 6), min_size=1, max_size=3))
+    g = make_grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx,
+                  draw(st.floats(0.1, 1.0)), draw(st.integers(2, 5)))
+    shape = g.shape_space
+    off = {(k, j): _coefficient(draw, shape, -0.2, 0.2) for k in range(len(nx))
+           for j in range(k + 1, len(nx)) if draw(st.booleans())}
+    A = MatrixCoefficient(g, [_coefficient(draw, shape, 0.5, 2.0) for _ in nx], off)
+    omega = _coefficient(draw, shape, 0.0, 2.0)
+    if np.ndim(omega):
+        omega = Field(g, omega, TIMESLICE)
+    return ProblemSpec(g, A, omega, Field(g, draw(_unit_arrays(g.shape_spacetime)), SPACETIME),
+                       Field(g, draw(_unit_arrays(shape)), TIMESLICE), lam=0.05)
 
 
 # u.Mv against v.Mu relative to |u| |Mv|, the Cauchy-Schwarz bound of
-# u.Mv (one entry of Mv can cancel to far below its rounding); without
-# cross terms L is positive semidefinite, so u.Mu >= |u|^2
+# u.Mv (one entry of Mv can cancel to far below its rounding), with the
+# norms taken by hypot, since np.linalg.norm squares entries below 1e-162
+# to 0; without cross terms L is positive semidefinite, so u.Mu >= |u|^2/dt
 @given(step_systems())
 def test_step_operator_is_symmetric_and_positive_without_cross_terms(system):
-    apply_op, u, v, has_cross = system
+    apply_op, dt, u, v, has_cross = system
     Mu, Mv = apply_op(u), apply_op(v)
-    assert abs(np.sum(u * Mv) - np.sum(v * Mu)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv)
+    bound = 1e-12 * math.hypot(*u.flat) * math.hypot(*Mv.flat)
+    assert abs(np.sum(u * Mv) - np.sum(v * Mu)) <= bound
     if not has_cross:
-        assert np.sum(u * Mu) >= (1.0 - 1e-12) * np.sum(u * u)
+        assert np.sum(u * Mu) >= (1.0 - 1e-12) * np.sum(u * u) / dt
+
+
+def _assert_close(parts, whole):
+    assert np.max(np.abs(parts - whole)) <= 1e-8 * (1.0 + np.max(np.abs(whole)))
+
+
+@given(problems())
+def test_split_parts_sum_to_the_full_solution(spec):
+    forced, drift = solve_split(spec)
+    _assert_close(forced.phi.values + drift.phi.values, solve_ibvp(spec).phi.values)
+
+
+@given(problems(), st.data())
+def test_solutions_superpose_in_the_forcing(spec, data):
+    g = spec.grid
+    f1, f2 = spec.f.values, data.draw(_unit_arrays(g.shape_spacetime))
+    phi1, phi2, phi12 = (solve_ibvp(replace(spec, f=Field(g, f, SPACETIME),
+                                            phi0=Field.zeros(g, TIMESLICE))).phi.values
+                         for f in (f1, f2, f1 + f2))
+    _assert_close(phi1 + phi2, phi12)
 
 
 @given(arrays(np.float64, st.integers(0, 40), elements=st.floats(-5.0, 5.0)),
