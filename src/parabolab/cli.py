@@ -17,8 +17,9 @@ from parabolab.constants import build_ledger, ledger_to_text
 from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError,
                               EvaluationError, FitError, RangeError, ResolutionError,
                               SolverError)
-from parabolab.experiments import (Check, _sweep_text, convergence_orders, diagnose,
-                                   diagnosis_checks, export, run_sweep, sweep_checks)
+from parabolab.experiments import (Check, _svg_plot, _sweep_csv, _sweep_text,
+                                   convergence_orders, diagnose, diagnosis_checks, run_sweep,
+                                   sweep_checks)
 from parabolab.moser import assemble_bound, bound_to_text, check_ladder, trace_to_csv
 from parabolab.norms import ess_sup
 from parabolab.solver import export_solution, solve_ibvp, solve_split
@@ -115,8 +116,10 @@ def _cmd_sweep(args) -> int:
                        opts=bundle.solve_options, threads=args.threads,
                        beta0=settings.beta0, i_max=settings.i_max,
                        moment_cap=settings.moment_cap)
-    export(result, os.path.join(out, "sweep.csv"), "csv")
-    export(result, os.path.join(out, "sweep.svg"), "svg-plot")
+    with open(os.path.join(out, "sweep.csv"), "w") as fh:
+        fh.write(_sweep_csv(result))
+    with open(os.path.join(out, "sweep.svg"), "w") as fh:
+        fh.write(_svg_plot(result))
     if result.diagnoses:
         # trace of the smallest eps: the most concentrated forcing
         with open(os.path.join(out, "trace.csv"), "w") as fh:
@@ -158,6 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=None, help="output directory")
+
+    def check(p):
         p.add_argument("--check", action="store_true",
                        help="turn diagnostics into assertions (exit 3 on failure)")
 
@@ -167,6 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", help="solve and run the diagnostic chain")
     common(p_diag)
+    check(p_diag)
     p_diag.add_argument("--beta0", type=float, default=None)
     p_diag.set_defaults(handler=_cmd_diagnose)
 
@@ -180,6 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bump-family sweep with exports")
     common(p_sweep)
+    check(p_sweep)
     p_sweep.add_argument("--eps-list", default=None,
                          help="comma-separated eps values overriding the config")
     p_sweep.add_argument("--threads", type=int, default=1,
@@ -187,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_conv = sub.add_parser("convergence", help="manufactured-solution order study")
-    p_conv.add_argument("--check", action="store_true")
+    check(p_conv)
     p_conv.set_defaults(handler=_cmd_convergence)
     return parser
 

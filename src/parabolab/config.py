@@ -4,8 +4,8 @@ Grammar: INI sections with `key = value` lines.
 
   [grid]          box = 0,1 0,1   nx = 96,96   T = 0.26   nt = 1088
   [coefficients]  a = 1.0 (isotropic) or 1.0,2.0 (diagonal), individual
-                  entries axx, ayy, azz, axy, axz, ayz (scalar or a
-                  registered spatial function), omega, lambda, q
+                  entries axx, ayy, azz, axy, axz, ayz and omega (a number
+                  or a registered function), lambda, q
   [forcing]       f = <function>, phi0 = <function>
   [sweep]         eps = 0.25,0.125,...  gamma, x0, t0, amplitude, beta0,
                   i_max, moment_cap (all optional except eps)
@@ -18,7 +18,7 @@ listed, one number each (comma-separated for center, x0).  Names:
   constant value=V
   sine amplitude=A decay=D      A * prod_k sin(pi (x_k-lo_k)/L_k) * e^(-D t)
   radial amplitude=A center=a,b exponent=P     A * |x - center|^P
-  bump eps=E gamma=G x0=a,b t0=C   (forcing only; space-time support checks)
+  bump eps=E gamma=G x0=a,b t0=C   (space-time only, so not phi0)
 
 A bare number is shorthand for `constant value=<number>`.  A radial
 omega with P slightly above -2 stays integrable while damping a
@@ -172,6 +172,21 @@ def _build_field(text: str, key: str, grid: Grid, kind: str) -> Field:
                     (*x0, params.get("t0", 0.6 * grid.T)), grid)
 
 
+def _coefficient_field(text: str, key: str, grid: Grid) -> Field:
+    """A coefficient entry (a_ij or omega) as a field: space-time when it
+    varies in time (a sine with decay, or a bump), else one static slice,
+    so the solver can reuse its operator across steps."""
+    text = text.strip()
+    kind = TIMESLICE
+    try:
+        float(text)
+    except ValueError:
+        name, params = _parse_function(text, key)
+        if name == "bump" or (name == "sine" and params.get("decay", 0.0)):
+            kind = SPACETIME
+    return _build_field(text, key, grid, kind)
+
+
 def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
     N = grid.dim
     diag = [1.0] * N
@@ -194,7 +209,7 @@ def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
             try:
                 entry = float(text)
             except ValueError:
-                entry = _build_field(text, f"coefficients.{key}", grid, TIMESLICE).values
+                entry = _coefficient_field(text, f"coefficients.{key}", grid).values
             if i == j:
                 diag[i] = entry
             else:
@@ -232,17 +247,7 @@ def load_config(path: str) -> ConfigBundle:
     A = _build_coefficient(cs, grid)
     lam = _scalar(cs, "coefficients", "lambda", default=1.0)
     q = _scalar(cs, "coefficients", "q", default=4.0)
-    omega_text = str(cs.get("omega", "0.0")).strip()
-    try:
-        omega_val = float(omega_text)
-        omega = Field(grid, np.full(grid.shape_space, omega_val), TIMESLICE)
-    except ValueError:
-        name, params = _parse_function(omega_text, "coefficients.omega")
-        # static potentials stay one slice so the solver can reuse its
-        # factorization-free operator across steps
-        time_varying = name == "bump" or (name == "sine" and params.get("decay", 0.0))
-        omega = _build_field(omega_text, "coefficients.omega", grid,
-                             SPACETIME if time_varying else TIMESLICE)
+    omega = _coefficient_field(str(cs.get("omega", "0.0")), "coefficients.omega", grid)
 
     fs = parser["forcing"] if "forcing" in parser else {}
     f = _build_field(str(fs.get("f", "zero")), "forcing.f", grid, SPACETIME)

@@ -509,17 +509,3 @@ def _sweep_text(result: SweepResult) -> str:
     for eps, reason in result.skipped:
         lines.append(f"skipped eps = {eps:.6g}: {reason}")
     return "\n".join(lines) + "\n"
-
-
-def export(result: SweepResult, path: str, fmt: str = "csv") -> None:
-    """Write a sweep result as csv, svg-plot, or text."""
-    renderers = {"csv": _sweep_csv, "svg-plot": _svg_plot, "text": _sweep_text}
-    if fmt not in renderers:
-        raise ConfigurationError(f"unknown export format {fmt!r}; "
-                                 f"choose from {sorted(renderers)}")
-    content = renderers[fmt](result)
-    try:
-        with open(path, "w") as fh:
-            fh.write(content)
-    except OSError as err:
-        raise ConfigurationError(f"cannot write {path}: {err}") from err

@@ -10,8 +10,9 @@ are stored.
 Problem data is admissible when the coefficient matrix A is uniformly
 elliptic (its smallest eigenvalue >= lambda at every sample), the
 zeroth-order coefficient omega is nonnegative, and the forcing
-integrability exponent q lies strictly above the critical value 1 + N/2.  ``validate`` reports every violation with a witness point; an
-empty report means the spec is admissible.
+integrability exponent q lies strictly above the critical value 1 + N/2.
+:class:`ProblemSpec` checks these standing hypotheses when it is built,
+so every spec that exists is admissible.
 """
 
 from dataclasses import dataclass
@@ -248,6 +249,16 @@ class MatrixCoefficient:
         return value[t_index]
 
 
+def _lowest(grid: Grid, values):
+    """The smallest sample of a scalar or array and, for an array, the text
+    ' at point (...)' naming where it is."""
+    if np.isscalar(values):
+        return float(values), ""
+    idx = np.unravel_index(np.argmin(values), values.shape)
+    point = _grid_point(grid, idx, values.shape == grid.shape_spacetime)
+    return float(values[idx]), f" at point {point}"
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full problem data: grid, coefficients, forcing, initial state.
@@ -255,6 +266,12 @@ class ProblemSpec:
     ``omega`` may be a scalar or a Field (timeslice = static in time).
     ``lam`` is the claimed ellipticity constant, ``q`` the integrability
     exponent of the forcing used by the diagnostics.
+
+    Construction checks the standing hypotheses: the smallest eigenvalue
+    of A reaches lam - 1e-10 at every sample, omega is nonnegative, and q
+    exceeds 1 + N/2 strictly.  One :class:`ConfigurationError` lists
+    every violation with its witness value (at full precision) and, for
+    an array entry, the sample point where it is worst.
     """
 
     grid: Grid
@@ -274,6 +291,32 @@ class ProblemSpec:
             raise ConfigurationError("phi0 must be a timeslice field on the same grid")
         if isinstance(self.omega, Field) and self.omega.grid != self.grid:
             raise ConfigurationError("omega lives on a different grid")
+        N = self.grid.dim
+        violations = []
+        if not self.lam > 0:
+            violations.append(f"ellipticity constant must be positive, got {self.lam!r}")
+        else:
+            # stack a_ij over the broadcast shape of the entries: a constant A
+            # is one N x N matrix, an array A one matrix per sample
+            entries = [self.A.component(i, j) for i in range(N) for j in range(N)]
+            shape = np.broadcast_shapes(*(np.shape(a) for a in entries))
+            stacked = np.stack([np.broadcast_to(a, shape) for a in entries], axis=-1)
+            lowest = np.linalg.eigvalsh(stacked.reshape(shape + (N, N)))[..., 0]
+            if float(np.min(lowest)) < self.lam - _H1_SLACK:
+                value, where = _lowest(self.grid, lowest if shape else float(lowest))
+                violations.append(f"smallest eigenvalue of A drops to {value!r}{where}, "
+                                  f"below lambda = {self.lam!r}")
+        omega = self.omega.values if isinstance(self.omega, Field) else self.omega
+        if float(np.min(omega)) < 0:
+            value, where = _lowest(self.grid, omega)
+            violations.append(f"omega must be nonnegative, reaches {value!r}{where}")
+        critical = 1.0 + N / 2.0
+        if not self.q > critical:
+            violations.append(f"q must exceed the critical exponent 1 + N/2 = {critical!r}, "
+                              f"got {self.q!r}")
+        if violations:
+            raise ConfigurationError("problem data violate the standing hypotheses: "
+                                     + "; ".join(violations))
 
     def omega_at(self, t_index: int):
         """omega at one time level: scalar or spatial array."""
@@ -282,73 +325,3 @@ class ProblemSpec:
                 return self.omega.values
             return self.omega.values[t_index]
         return float(self.omega)
-
-
-@dataclass(frozen=True)
-class Violation:
-    hypothesis: str
-    message: str
-    point: tuple = None
-    value: float = None
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    violations: tuple
-
-    @property
-    def admissible(self) -> bool:
-        return len(self.violations) == 0
-
-
-def _worst_point(grid: Grid, arr, reducer):
-    """Locate the reducing sample of a scalar-or-array coefficient expression."""
-    if np.isscalar(arr):
-        return None, float(arr)
-    idx = np.unravel_index(reducer(arr), arr.shape)
-    return _grid_point(grid, idx, arr.shape == grid.shape_spacetime), float(arr[idx])
-
-
-def validate(spec: ProblemSpec) -> HypothesisReport:
-    """Check ellipticity, sign, and exponent hypotheses on a problem spec.
-
-    The smallest eigenvalue of A must stay above lam - 1e-10 at every
-    sample (the violation names the worst one).  omega must be
-    nonnegative and q must exceed 1 + N/2 strictly.  The call is pure:
-    equal specs produce equal reports.
-    """
-    grid = spec.grid
-    N = grid.dim
-    violations = []
-
-    if not spec.lam > 0:
-        violations.append(Violation(
-            "H1", f"ellipticity constant must be positive, got {spec.lam}"))
-    else:
-        # stack a_ij over the broadcast shape of the entries: a constant A
-        # is one N x N matrix, an array A one matrix per sample
-        entries = [spec.A.component(i, j) for i in range(N) for j in range(N)]
-        shape = np.broadcast_shapes(*(np.shape(a) for a in entries))
-        stacked = np.stack([np.broadcast_to(a, shape) for a in entries], axis=-1)
-        lowest = np.linalg.eigvalsh(stacked.reshape(shape + (N, N)))[..., 0]
-        if float(np.min(lowest)) < spec.lam - _H1_SLACK:
-            point, value = _worst_point(grid, lowest if shape else float(lowest), np.argmin)
-            violations.append(Violation(
-                "H1", f"smallest eigenvalue of A drops to {value:.6g} < lambda={spec.lam}",
-                point=point, value=value))
-
-    omega = spec.omega.values if isinstance(spec.omega, Field) else spec.omega
-    low = float(np.min(omega))
-    if low < 0:
-        point, value = _worst_point(grid, omega, np.argmin)
-        violations.append(Violation(
-            "H2", f"omega must be nonnegative, reaches {value:.6g}",
-            point=point, value=value))
-
-    critical = 1.0 + N / 2.0
-    if not spec.q > critical:
-        violations.append(Violation(
-            "H2", f"q must exceed the critical exponent 1 + N/2 = {critical}, got {spec.q}",
-            value=float(spec.q)))
-
-    return HypothesisReport(violations=tuple(violations))

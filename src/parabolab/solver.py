@@ -19,7 +19,7 @@ import numpy as np
 
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
-from parabolab.fields import SPACETIME, TIMESLICE, Field, Grid, ProblemSpec, validate
+from parabolab.fields import SPACETIME, TIMESLICE, Field, Grid, ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -194,16 +194,8 @@ def _coefficients_static(spec: ProblemSpec) -> bool:
     return True
 
 
-def _require_admissible(spec: ProblemSpec) -> None:
-    report = validate(spec)
-    if not report.admissible:
-        lines = "; ".join(v.message for v in report.violations)
-        raise ConfigurationError(f"problem data violate the standing hypotheses: {lines}")
-
-
 def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     """March the initial-boundary value problem over all nt steps."""
-    _require_admissible(spec)
     opts = opts or SolveOptions()
     g = spec.grid
     cap = 10 * g.num_cells
@@ -237,15 +229,10 @@ def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
     field produced without linear solves.
     """
     g = spec.grid
-    no_data = not np.any(spec.phi0.values)
-    no_forcing = not np.any(spec.f.values)
     zero_history = Solution(Field.zeros(g, SPACETIME), (0.0,) * g.nt, (0,) * g.nt)
-    if no_data and no_forcing:
-        _require_admissible(spec)
-        return zero_history, zero_history
-    if no_data:
+    if not np.any(spec.phi0.values):
         return solve_ibvp(spec, opts), zero_history
-    if no_forcing:
+    if not np.any(spec.f.values):
         return zero_history, solve_ibvp(spec, opts)
     forced = replace(spec, phi0=Field.zeros(g, TIMESLICE))
     drift = replace(spec, f=Field.zeros(g, SPACETIME))

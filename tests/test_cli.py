@@ -151,6 +151,12 @@ def test_threads_is_a_sweep_only_flag():
     assert run(["diagnose", "--config", DEMO, "--threads", "2"]) == 1
 
 
+# solve once took --check, printed no check line and exited 0
+def test_check_is_not_a_solve_flag(capsys):
+    assert run(["solve", "--config", DEMO, "--check"]) == 1
+    assert "--check" in capsys.readouterr().err
+
+
 def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
     assert "sweep" in capsys.readouterr().out
@@ -218,3 +224,34 @@ def test_bad_ladder_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch
     assert run(argv + ["--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+# both once exited 2 naming beta0: the hypotheses were checked only inside each solve
+@pytest.mark.parametrize("command", ["sweep", "diagnose"])
+def test_inadmissible_data_fail_before_the_ladder_check(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "solve_split", _no_work)
+    monkeypatch.setattr(experiments, "solve_split", _no_work)
+    text = open(SMALL).read()
+    for line, value in {"q = 4.0": "q = 2.0", "beta0 = 1.0": "beta0 = 0.0"}.items():
+        assert line in text
+        text = text.replace(line, value)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run([command, "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "q must exceed the critical exponent 1 + N/2 = 2.0, got 2.0" in err
+    assert "beta0" not in err
+
+
+# the witness point was once computed but never printed
+def test_negative_omega_names_its_witness_point(tmp_path, capsys):
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write("[grid]\nbox = 0,1 0,1\nnx = 5,5\nT = 0.5\nnt = 4\n"
+                 "[coefficients]\nomega = sine amplitude=-2.0\n")
+    assert run(["solve", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "omega must be nonnegative, reaches -2.0 at point (0.5, 0.5)" in err

@@ -94,6 +94,27 @@ lambda = 0.5
     assert A.component(0, 1) == 0.5
 
 
+# a decaying a_ij once loaded as its t = 0 slice, static in time
+def test_time_varying_matrix_entry_keeps_its_decay(tmp_path):
+    path = _write(tmp_path, """
+[grid]
+box = 0,1
+nx = 32
+T = 0.5
+nt = 8
+[coefficients]
+axx = sine amplitude=5.0 decay=4.0
+lambda = 0.01
+""")
+    bundle = load_config(path)
+    g = bundle.grid
+    axx = bundle.spec.A.component(0, 0)
+    assert axx.shape == g.shape_spacetime
+    profile = 5.0 * np.sin(np.pi * g.midpoints(0))
+    for n, t in enumerate(g.time_levels()):
+        np.testing.assert_allclose(axx[n], profile * np.exp(-4.0 * t), rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("mutation", [
     ("missing_file", None),
     ("no_grid", "[coefficients]\na = 1.0\n"),

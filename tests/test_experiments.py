@@ -1,5 +1,6 @@
 """Bump family scaling, regression fits, sweep round trips."""
 
+import io
 import math
 import os
 from dataclasses import replace
@@ -12,8 +13,8 @@ import parabolab.experiments as experiments
 from parabolab.config import load_config
 from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
 from parabolab.experiments import (SWEEP_CSV_HEADER, BumpFamily, Diagnosis, SweepResult,
-                                   SweepRow, bump, diagnosis_checks, export, fit_log_law,
-                                   run_sweep, sweep_checks)
+                                   SweepRow, _svg_plot, _sweep_csv, _sweep_text, bump,
+                                   diagnosis_checks, fit_log_law, run_sweep, sweep_checks)
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
                               ProblemSpec, make_grid)
 from parabolab.moser import LadderRung, MoserTrace
@@ -228,35 +229,26 @@ def test_diagnosis_checks_count_failures_and_find_the_lowest_rung():
         ("l1", 2, False), ("interpolation", 1, False), ("ladder_monotone", 0.5, False)]
 
 
-def test_sweep_rows_round_trip_through_csv(tmp_path):
+def test_sweep_rows_round_trip_through_csv():
     _, spec = _small_template()
     fam = BumpFamily((0.375, 0.375), 0.13, 2.0)
     result = run_sweep(spec, fam, [2.0 ** -1.5, 0.25])
     assert len(result.rows) == 2
     assert result.fit is None and result.fit_note    # too few points to fit
-    path = os.path.join(tmp_path, "sweep.csv")
-    export(result, path, "csv")
-    with open(path) as fh:
-        assert fh.readline().strip() == SWEEP_CSV_HEADER
-    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    text = _sweep_csv(result)
+    assert text.splitlines()[0] == SWEEP_CSV_HEADER
+    back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
     assert back.shape == (2, len(SweepRow.__dataclass_fields__))
     for row, again in zip(result.rows, back):
         for name, b in zip(SweepRow.__dataclass_fields__, again):
             assert getattr(row, name) == pytest.approx(b, rel=1e-12)
 
 
-def test_export_formats_and_failure_modes(tmp_path):
+def test_export_formats_and_failure_modes():
+    # an unwritable --out is covered by test_cli's test_out_naming_a_file_fails_before_any_work
     _, spec = _small_template()
     fam = BumpFamily((0.375, 0.375), 0.13, 2.0)
     result = run_sweep(spec, fam, [0.25])
-    svg = os.path.join(tmp_path, "plot.svg")
-    export(result, svg, "svg-plot")
-    body = open(svg).read()
+    body = _svg_plot(result)
     assert body.startswith("<svg") and "circle" in body
-    txt = os.path.join(tmp_path, "sweep.txt")
-    export(result, txt, "text")
-    assert "eps" in open(txt).read()
-    with pytest.raises(ConfigurationError):
-        export(result, os.path.join(tmp_path, "x.bin"), "parquet")
-    with pytest.raises(ConfigurationError):
-        export(result, os.path.join(tmp_path, "missing", "deep", "x.csv"), "csv")
+    assert "eps" in _sweep_text(result)

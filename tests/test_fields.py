@@ -1,15 +1,15 @@
 """Grid, field, coefficient, and hypothesis-validation tests."""
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
 
 from parabolab.errors import ConfigurationError, EvaluationError
 from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample, sample_initial,
-                              validate)
-from parabolab.solver import solve_ibvp
+                              ProblemSpec, make_grid, sample, sample_initial)
 
 
 def test_grid_geometry():
@@ -128,30 +128,44 @@ def _spec(g, A=None, omega=0.0, lam=1.0, q=4.0):
                        Field.zeros(g, TIMESLICE), lam, q)
 
 
+def _violations(g, **kwargs):
+    """The messages ProblemSpec refuses _spec(g, **kwargs) with, one per violation."""
+    with pytest.raises(ConfigurationError) as err:
+        _spec(g, **kwargs)
+    prefix = "problem data violate the standing hypotheses: "
+    assert str(err.value).startswith(prefix)
+    return str(err.value)[len(prefix):].split("; ")
+
+
+def _witness(message):
+    """(value, point) a violation message names; point is None for a scalar."""
+    value = re.search(r"(?:drops to|reaches|got) (\S+?),? ", message + " ").group(1)
+    point = re.search(r" at point (\([^)]*\))", message)
+    return float(value), None if point is None else ast.literal_eval(point.group(1))
+
+
 def test_validate_admissible_identity():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [5, 5], 1.0, 4)
-    report = validate(_spec(g))
-    assert report.admissible
-    assert report.violations == ()
+    spec = _spec(g)
+    assert spec.lam == 1.0 and spec.q == 4.0
 
 
 def test_validate_flags_weak_diagonal():
     g = make_grid([(0.0, 1.0)], [5], 1.0, 4)
     weak = MatrixCoefficient(g, [0.5])
-    report = validate(_spec(g, A=weak, lam=1.0))
-    assert not report.admissible
-    assert any(v.hypothesis == "H1" for v in report.violations)
+    bad = _violations(g, A=weak, lam=1.0)
+    assert len(bad) == 1 and "smallest eigenvalue of A" in bad[0]
+    assert _witness(bad[0]) == (0.5, None)
 
 
 def test_validate_flags_cross_term_degeneracy():
     # axx = ayy = 1 with axy = 0.6 drops the form to 0.4 along (e0 - e1)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
     A = MatrixCoefficient(g, [1.0, 1.0], {(0, 1): 0.6})
-    report = validate(_spec(g, A=A, lam=1.0))
-    msgs = [v.message for v in report.violations if v.hypothesis == "H1"]
-    assert msgs and "0.4" in msgs[0]
+    bad = [m for m in _violations(g, A=A, lam=1.0) if "smallest eigenvalue" in m]
+    assert bad and math.isclose(_witness(bad[0])[0], 0.4, rel_tol=1e-12)
     # the same matrix is fine against a weaker claimed constant
-    assert validate(_spec(g, A=A, lam=0.4)).admissible
+    _spec(g, A=A, lam=0.4)
 
 
 def test_validate_catches_indefinite_a_between_probe_directions():
@@ -159,33 +173,36 @@ def test_validate_catches_indefinite_a_between_probe_directions():
     # eigenvalue is 5.05 - sqrt(4.95^2 + 1.1^2) = -0.0207
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
     A = MatrixCoefficient(g, [10.0, 0.1], {(0, 1): 1.1})
-    report = validate(_spec(g, A=A, lam=0.1))
-    bad = [v for v in report.violations if v.hypothesis == "H1"]
+    bad = [m for m in _violations(g, A=A, lam=0.1) if "smallest eigenvalue" in m]
     assert len(bad) == 1
-    assert math.isclose(bad[0].value, 5.05 - math.hypot(4.95, 1.1), rel_tol=1e-12)
-    with pytest.raises(ConfigurationError):
-        solve_ibvp(_spec(g, A=A, lam=0.1))
+    value, point = _witness(bad[0])
+    assert math.isclose(value, 5.05 - math.hypot(4.95, 1.1), rel_tol=1e-12)
+    assert point is None
     # an array entry reports the sample where the eigenvalue is lowest
     axx = np.full((4, 4), 10.0)
     axx[2, 1] = 0.5
     A = MatrixCoefficient(g, [axx, 1.0], {(0, 1): 0.6})
-    bad = validate(_spec(g, A=A, lam=0.2)).violations
-    assert len(bad) == 1 and bad[0].point == (0.625, 0.375)
-    assert math.isclose(bad[0].value, 0.1, rel_tol=1e-12)
+    bad = _violations(g, A=A, lam=0.2)
+    assert len(bad) == 1
+    value, point = _witness(bad[0])
+    assert point == (0.625, 0.375)
+    assert math.isclose(value, 0.1, rel_tol=1e-12)
 
 
 def test_validate_flags_negative_omega_with_location():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 2)
     w = np.zeros(8)
     w[3] = -0.25
-    report = validate(_spec(g, omega=Field(g, w, TIMESLICE)))
-    bad = [v for v in report.violations if "omega" in v.message]
+    bad = [m for m in _violations(g, omega=Field(g, w, TIMESLICE)) if "omega" in m]
     assert len(bad) == 1
-    assert bad[0].value == -0.25
-    assert math.isclose(bad[0].point[0], (3 + 0.5) / 8)
+    value, point = _witness(bad[0])
+    assert value == -0.25
+    assert math.isclose(point[0], (3 + 0.5) / 8)
 
 
 def test_validate_critical_q_is_excluded():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
-    assert not validate(_spec(g, q=2.0)).admissible   # q = 1 + N/2 exactly
-    assert validate(_spec(g, q=2.0 + 1e-9)).admissible
+    bad = _violations(g, q=2.0)   # q = 1 + N/2 exactly
+    assert len(bad) == 1 and bad[0].startswith("q must exceed")
+    assert _witness(bad[0]) == (2.0, None)
+    _spec(g, q=2.0 + 1e-9)

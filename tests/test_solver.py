@@ -123,7 +123,7 @@ def test_cross_terms_keep_solver_symmetric():
     axy = 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)
     omega = Field(g, rng.random(g.shape_space), TIMESLICE)
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): axy})
-    L = Stencil.at(ProblemSpec(g, A, omega, f, Field.zeros(g, TIMESLICE)), 1)
+    L = Stencil.at(ProblemSpec(g, A, omega, f, Field.zeros(g, TIMESLICE), lam=0.5), 1)
     u, v = rng.normal(size=(2, *g.shape_space))
     assert math.isclose(np.sum(u * L.apply(v)), np.sum(L.apply(u) * v), rel_tol=1e-12)
 
@@ -234,7 +234,8 @@ def _cross_term_step_system():
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)})
     omega = Field(g, rng.random(g.shape_space), TIMESLICE)
-    spec = ProblemSpec(g, A, omega, Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE))
+    spec = ProblemSpec(g, A, omega, Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE),
+                       lam=0.5)
     apply_op = Stencil.at(spec, 1, 1.0 / g.dt).apply
     history = rng.normal(size=(3, *g.shape_space))
     b = history[1] / g.dt + rng.normal(size=g.shape_space)
@@ -321,6 +322,5 @@ def test_solve_options_validation():
 
 def test_inadmissible_spec_is_rejected():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
-    bad = _heat_spec(g, omega=-1.0)
-    with pytest.raises(ConfigurationError):
-        solve_ibvp(bad)
+    with pytest.raises(ConfigurationError, match="omega must be nonnegative"):
+        _heat_spec(g, omega=-1.0)
