@@ -14,9 +14,8 @@ import sys
 
 from parabolab.config import load_config, parse_numbers
 from parabolab.constants import build_ledger, ledger_to_text
-from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError,
-                              EvaluationError, FitError, RangeError, ResolutionError,
-                              SolverError)
+from parabolab.errors import (ConfigurationError, ConsistencyError, DomainError, FitError,
+                              RangeError, ResolutionError, SolverError)
 from parabolab.experiments import (Check, _svg_plot, _sweep_csv, _sweep_text,
                                    convergence_orders, diagnose, diagnosis_checks, run_sweep,
                                    sweep_checks)
@@ -211,8 +210,7 @@ def run(argv=None) -> int:
     except (ConfigurationError, ResolutionError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-    except (SolverError, RangeError, DomainError, EvaluationError, FitError,
-            ConsistencyError) as err:
+    except (SolverError, RangeError, DomainError, FitError, ConsistencyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

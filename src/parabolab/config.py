@@ -4,12 +4,17 @@ Grammar: INI sections with `key = value` lines.
 
   [grid]          box = 0,1 0,1   nx = 96,96   T = 0.26   nt = 1088
   [coefficients]  a = 1.0 (isotropic) or 1.0,2.0 (diagonal), individual
-                  entries axx, ayy, azz, axy, axz, ayz and omega (a number
-                  or a registered function), lambda, q
+                  entries axx, ayy, azz, axy, axz, ayz (for the grid's
+                  axes) and omega (a number or a function), lambda, q
   [forcing]       f = <function>, phi0 = <function>
   [sweep]         eps = 0.25,0.125,...  gamma, x0, t0, amplitude, beta0,
                   i_max, moment_cap (all optional except eps)
-  [solver]        tol (optional; the section takes no other key)
+  [solver]        tol (optional)
+
+Only [grid] is required.  An unlisted section or key is refused, naming
+section.key, and so is a non-finite sample, naming its key and point.
+An a_ij or omega function varies in time (a space-time array) when it is
+a bump or a decaying sine, else it is one spatial array.
 
 Function values are `name key=val ...`, taking only the parameters
 listed, one number each (comma-separated for center, x0).  Names:
@@ -33,14 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parabolab.errors import ConfigurationError
+from parabolab.errors import ConfigurationError, EvaluationError
 from parabolab.experiments import BumpFamily, bump
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample, sample_initial)
+from parabolab.fields import (Field, Grid, MatrixCoefficient, ProblemSpec, entry_name, make_grid,
+                              sample, sample_initial)
 from parabolab.solver import SolveOptions
-
-_AXIS_NAMES = "xyz"
-
 
 @dataclass(frozen=True)
 class SweepSettings:
@@ -71,15 +73,15 @@ def parse_numbers(text: str, key: str, kind=float):
         raise ConfigurationError(f"{key}: cannot parse numbers from {text!r}") from err
 
 
-def _scalar(section, where: str, key: str, kind=float, default=None):
-    """section[key] parsed by kind (float or int), or default when absent."""
-    if key not in section:
+def _scalar(parser, section: str, key: str, kind=float, default=None):
+    """section.key parsed by kind (float or int), or default when absent."""
+    if not parser.has_option(section, key):
         return default
     try:
-        return kind(section[key])
+        return kind(parser[section][key])
     except ValueError as err:
         raise ConfigurationError(
-            f"{where}.{key}: cannot parse a number from {section[key]!r}") from err
+            f"{section}.{key}: cannot parse a number from {parser[section][key]!r}") from err
 
 
 # the parameters each registered function takes; center and x0 are vectors
@@ -128,63 +130,59 @@ def _sine_fn(grid: Grid, amplitude: float = 1.0, decay: float = 0.0):
     return fn
 
 
-def _build_field(text: str, key: str, grid: Grid, kind: str) -> Field:
-    text = text.strip()
+def _build_field(text: str, key: str, grid: Grid, spacetime: bool) -> Field:
+    """The field a config value describes, space-time or one spatial slice.
+    A non-finite sample raises EvaluationError naming key and the point."""
     try:
-        value = float(text)
-        is_number = True
+        name, params = "constant", {"value": float(text)}
     except ValueError:
-        is_number = False
-    if is_number:
-        shape = grid.shape_spacetime if kind == SPACETIME else grid.shape_space
-        return Field(grid, np.full(shape, value), kind)
-    name, params = _parse_function(text, key)
-    if name == "zero":
-        return Field.zeros(grid, kind)
-    if name == "constant":
-        shape = grid.shape_spacetime if kind == SPACETIME else grid.shape_space
-        return Field(grid, np.full(shape, params.get("value", 1.0)), kind)
-    if name == "sine":
-        fn = _sine_fn(grid, params.get("amplitude", 1.0), params.get("decay", 0.0))
-        return sample(fn, grid) if kind == SPACETIME else sample_initial(fn, grid)
-    if name == "radial":
-        center = params.get("center", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
-        if len(center) != grid.dim:
-            raise ConfigurationError(f"{key}: radial center needs {grid.dim} components")
-        amplitude = params.get("amplitude", 1.0)
-        exponent = params.get("exponent", -1.0)
-        mesh = grid.meshgrid()
-        r2 = np.zeros(grid.shape_space)
-        for k in range(grid.dim):
-            r2 = r2 + (mesh[k] - center[k]) ** 2
-        with np.errstate(divide="ignore"):
-            vals = amplitude * r2 ** (0.5 * exponent)
-        if kind == SPACETIME:
-            vals = np.broadcast_to(vals, grid.shape_spacetime).copy()
-        return Field(grid, vals, kind)
-    if name == "bump":
-        if kind != SPACETIME:
+        name, params = _parse_function(text, key)
+    shape = grid.shape_spacetime if spacetime else grid.shape_space
+    try:
+        if name == "zero":
+            return Field(grid, np.zeros(shape))
+        if name == "constant":
+            return Field(grid, np.full(shape, params.get("value", 1.0)))
+        if name == "sine":
+            fn = _sine_fn(grid, params.get("amplitude", 1.0), params.get("decay", 0.0))
+            return sample(fn, grid) if spacetime else sample_initial(fn, grid)
+        if name == "radial":
+            center = params.get("center", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
+            if len(center) != grid.dim:
+                raise ConfigurationError(f"{key}: radial center needs {grid.dim} components")
+            amplitude = params.get("amplitude", 1.0)
+            exponent = params.get("exponent", -1.0)
+            mesh = grid.meshgrid()
+            r2 = np.zeros(grid.shape_space)
+            for k in range(grid.dim):
+                r2 = r2 + (mesh[k] - center[k]) ** 2
+            with np.errstate(divide="ignore"):
+                vals = amplitude * r2 ** (0.5 * exponent)
+            if spacetime:
+                vals = np.broadcast_to(vals, shape).copy()
+            return Field(grid, vals)
+        # bump, the one registered function left
+        if not spacetime:
             raise ConfigurationError(f"{key}: bump is a space-time forcing only")
         if "eps" not in params:
             raise ConfigurationError(f"{key}: bump needs eps=...")
         x0 = params.get("x0", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
         return bump(params["eps"], params.get("gamma", 2.0),
                     (*x0, params.get("t0", 0.6 * grid.T)), grid)
+    except EvaluationError as err:
+        raise EvaluationError(f"{key}: {err}") from err
 
 
-def _coefficient_field(text: str, key: str, grid: Grid) -> Field:
-    """A coefficient entry (a_ij or omega) as a field: space-time when it
-    varies in time (a sine with decay, or a bump), else one static slice,
-    so the solver can reuse its operator across steps."""
-    text = text.strip()
-    kind = TIMESLICE
+def _coefficient_field(text: str, key: str, grid: Grid):
+    """A coefficient entry (a_ij or omega): a number as a float, else the
+    samples of its function, space-time when it varies in time, else one
+    static slice, so the solver can reuse its operator across steps."""
     try:
-        float(text)
+        return float(text)
     except ValueError:
         name, params = _parse_function(text, key)
-        if name == "bump" or (name == "sine" and params.get("decay", 0.0)):
-            kind = SPACETIME
-    return _build_field(text, key, grid, kind)
+    spacetime = name == "bump" or (name == "sine" and params.get("decay", 0.0) != 0.0)
+    return _build_field(text, key, grid, spacetime).values
 
 
 def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
@@ -202,19 +200,37 @@ def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
     off = {}
     for i in range(N):
         for j in range(i, N):
-            key = f"a{_AXIS_NAMES[i]}{_AXIS_NAMES[j]}"
+            key = entry_name(i, j)
             if key not in section:
                 continue
-            text = section[key].strip()
-            try:
-                entry = float(text)
-            except ValueError:
-                entry = _coefficient_field(text, f"coefficients.{key}", grid).values
+            entry = _coefficient_field(section[key], f"coefficients.{key}", grid)
             if i == j:
                 diag[i] = entry
             else:
                 off[(i, j)] = entry
     return MatrixCoefficient(grid, diag, off or None)
+
+
+# the keys of each section; [coefficients] also takes an a_ij per pair of axes
+_KEYS = {"grid": ("box", "nx", "T", "nt"),
+         "coefficients": ("a", "lambda", "q", "omega"),
+         "forcing": ("f", "phi0"),
+         "sweep": ("eps", "x0", "t0", "gamma", "amplitude", "beta0", "i_max", "moment_cap"),
+         "solver": ("tol",)}
+
+
+def _check_keys(parser, N: int) -> None:
+    """Refuse a section or key the grammar lacks, an a_ij off N axes included."""
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigurationError(f"[{name}]: unknown section (sections: {', '.join(_KEYS)})")
+        known = _KEYS[name]
+        if name == "coefficients":
+            known += tuple(entry_name(i, j) for i in range(N) for j in range(i, N))
+        for key in parser[name]:
+            if key not in known:
+                raise ConfigurationError(f"{name}.{key}: unknown key "
+                                         f"([{name}] takes {', '.join(known)})")
 
 
 def load_config(path: str) -> ConfigBundle:
@@ -227,12 +243,10 @@ def load_config(path: str) -> ConfigBundle:
         parser.read(path)
     except configparser.Error as err:
         raise ConfigurationError(f"{path}: {err}") from err
-    if "grid" not in parser:
-        raise ConfigurationError(f"{path}: missing [grid] section")
-    gs = parser["grid"]
-    for need in ("box", "nx", "T", "nt"):
-        if need not in gs:
+    for need in _KEYS["grid"]:
+        if not parser.has_option("grid", need):
             raise ConfigurationError(f"{path}: [grid] missing {need}")
+    gs = parser["grid"]
     pairs = gs["box"].split()
     box = []
     for token in pairs:
@@ -241,17 +255,18 @@ def load_config(path: str) -> ConfigBundle:
             raise ConfigurationError(f"grid.box: each axis needs lo,hi, got {token!r}")
         box.append((vals[0], vals[1]))
     nx = parse_numbers(gs["nx"], "grid.nx", int)
-    grid = make_grid(box, nx, _scalar(gs, "grid", "T"), _scalar(gs, "grid", "nt", int))
+    grid = make_grid(box, nx, _scalar(parser, "grid", "T"), _scalar(parser, "grid", "nt", int))
+    _check_keys(parser, grid.dim)
 
     cs = parser["coefficients"] if "coefficients" in parser else {}
     A = _build_coefficient(cs, grid)
-    lam = _scalar(cs, "coefficients", "lambda", default=1.0)
-    q = _scalar(cs, "coefficients", "q", default=4.0)
-    omega = _coefficient_field(str(cs.get("omega", "0.0")), "coefficients.omega", grid)
-
-    fs = parser["forcing"] if "forcing" in parser else {}
-    f = _build_field(str(fs.get("f", "zero")), "forcing.f", grid, SPACETIME)
-    phi0 = _build_field(str(fs.get("phi0", "zero")), "forcing.phi0", grid, TIMESLICE)
+    lam = _scalar(parser, "coefficients", "lambda", default=1.0)
+    q = _scalar(parser, "coefficients", "q", default=4.0)
+    omega = _coefficient_field(parser.get("coefficients", "omega", fallback="0.0"),
+                               "coefficients.omega", grid)
+    f = _build_field(parser.get("forcing", "f", fallback="zero"), "forcing.f", grid, True)
+    phi0 = _build_field(parser.get("forcing", "phi0", fallback="zero"), "forcing.phi0", grid,
+                        False)
     spec = ProblemSpec(grid, A, omega, f, phi0, lam, q)
 
     sweep = None
@@ -264,18 +279,12 @@ def load_config(path: str) -> ConfigBundle:
             else tuple(0.5 * (lo + hi) for lo, hi in grid.box)
         if len(x0) != grid.dim:
             raise ConfigurationError(f"sweep.x0 needs {grid.dim} components")
-        family = BumpFamily(x0, _scalar(ss, "sweep", "t0", default=0.6 * grid.T),
-                            _scalar(ss, "sweep", "gamma", default=2.0),
-                            _scalar(ss, "sweep", "amplitude", default=1.0))
-        sweep = SweepSettings(eps, family, _scalar(ss, "sweep", "beta0", default=1.0),
-                              _scalar(ss, "sweep", "i_max", int, 12),
-                              _scalar(ss, "sweep", "moment_cap", default=10.0))
+        family = BumpFamily(x0, _scalar(parser, "sweep", "t0", default=0.6 * grid.T),
+                            _scalar(parser, "sweep", "gamma", default=2.0),
+                            _scalar(parser, "sweep", "amplitude", default=1.0))
+        sweep = SweepSettings(eps, family, _scalar(parser, "sweep", "beta0", default=1.0),
+                              _scalar(parser, "sweep", "i_max", int, 12),
+                              _scalar(parser, "sweep", "moment_cap", default=10.0))
 
-    opts = SolveOptions()
-    if "solver" in parser:
-        sv = parser["solver"]
-        for key in sv:
-            if key != "tol":
-                raise ConfigurationError(f"solver.{key}: unknown key ([solver] takes tol only)")
-        opts = SolveOptions(_scalar(sv, "solver", "tol", default=1e-10))
-    return ConfigBundle(grid, spec, sweep, opts)
+    return ConfigBundle(grid, spec, sweep,
+                        SolveOptions(_scalar(parser, "solver", "tol", default=1e-10)))

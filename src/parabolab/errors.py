@@ -17,8 +17,9 @@ class ResolutionError(ConfigurationError):
     """
 
 
-class EvaluationError(ValueError):
-    """A sampled callable produced a non-finite value at a grid point."""
+class EvaluationError(ConfigurationError):
+    """A sampled callable produced a non-finite value at a grid point: bad
+    input data, so a configuration error like any other."""
 
 
 class DomainError(ValueError):

@@ -22,22 +22,19 @@ computed once here, holding the value it measured.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from parabolab.errors import (ConfigurationError, DomainError, FitError, ResolutionError,
                               SolverError)
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, Grid, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample, sample_initial)
+from parabolab.fields import (Field, Grid, MatrixCoefficient, ProblemSpec, make_grid, sample,
+                              sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, check_ladder,
                              choose_alpha, exp_moment, l1_check, trace)
 from parabolab.norms import ess_sup, exp_or_inf, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
-
-SWEEP_CSV_HEADER = "eps,f_norm_crit,f_norm_q,phi_sup,implied_c,exp_moment,l1_lhs,l1_rhs"
-
 
 # ---------------------------------------------------------------------------
 # bump family
@@ -105,7 +102,7 @@ def bump(eps: float, gamma: float, center, grid: Grid) -> Field:
     s = (grid.time_levels() - t0) / (eps * eps)
     s2 = (s * s).reshape((-1,) + (1,) * N)
     values = eps ** (-gamma) * _psi(space_rho2[np.newaxis] + s2)
-    return Field(grid, values, SPACETIME)
+    return Field(grid, values)
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ class BumpFamily:
         f = bump(eps, self.gamma, (*self.center, self.t0), grid)
         if self.amplitude == 1.0:
             return f
-        return Field(grid, self.amplitude * f.values, f.kind)
+        return Field(grid, self.amplitude * f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,7 @@ def _mms_error(dim: int, n: int) -> float:
         return out
 
     k = dim * math.pi ** 2 - 1.0
-    spec = ProblemSpec(grid, MatrixCoefficient.identity(grid), Field.zeros(grid, TIMESLICE),
+    spec = ProblemSpec(grid, MatrixCoefficient.identity(grid), 0.0,
                        sample(lambda *args: k * exact(*args), grid),
                        sample_initial(lambda *xs: exact(*xs, 0.0), grid))
     sol = solve_ibvp(spec, opts=SolveOptions(tol=1e-11))
@@ -427,11 +424,9 @@ def convergence_orders() -> list:
 # ---------------------------------------------------------------------------
 
 def _sweep_csv(result: SweepResult) -> str:
-    lines = [SWEEP_CSV_HEADER]
+    lines = [",".join(column.name for column in fields(SweepRow))]
     for row in result.rows:
-        lines.append(",".join(format(v, ".13g") for v in (
-            row.eps, row.f_norm_crit, row.f_norm_q, row.phi_sup,
-            row.implied_c, row.exp_moment, row.l1_lhs, row.l1_rhs)))
+        lines.append(",".join(format(v, ".13g") for v in astuple(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -493,13 +488,12 @@ def _svg_plot(result: SweepResult) -> str:
 
 def _sweep_text(result: SweepResult) -> str:
     lines = [f"rows: {len(result.rows)}   alpha = {result.alpha:.12g}"]
-    header = (f"{'eps':>12s} {'f_norm_crit':>14s} {'f_norm_q':>14s} {'phi_sup':>14s} "
-              f"{'implied_c':>14s} {'exp_moment':>14s} {'l1_lhs':>14s} {'l1_rhs':>14s}")
-    lines.append(header)
+    # eps, the first column, prints narrower than the measured ones
+    key, *measured = (column.name for column in fields(SweepRow))
+    lines.append(" ".join([f"{key:>12s}"] + [f"{name:>14s}" for name in measured]))
     for row in result.rows:
-        lines.append(f"{row.eps:12.6g} {row.f_norm_crit:14.10g} {row.f_norm_q:14.10g} "
-                     f"{row.phi_sup:14.10g} {row.implied_c:14.10g} "
-                     f"{row.exp_moment:14.10g} {row.l1_lhs:14.10g} {row.l1_rhs:14.10g}")
+        eps, *values = astuple(row)
+        lines.append(" ".join([f"{eps:12.6g}"] + [f"{v:14.10g}" for v in values]))
     if result.fit is not None:
         lines.append(f"fit: slope = {result.fit.slope:.12g}, intercept = "
                      f"{result.fit.intercept:.12g}, R^2 = {result.fit.r_squared:.12g}, "

@@ -7,6 +7,10 @@ nt uniform steps with samples at the nt + 1 levels t_n = n * dt.  The
 homogeneous Dirichlet condition lives on ghost faces, so no boundary nodes
 are stored.
 
+A datum varies in time exactly when its values have the space-time shape
+(nt + 1, *nx); a spatial array (*nx), or a number for a coefficient, is
+the same at every level.  :func:`at_level` reads one level of any of them.
+
 Problem data is admissible when the coefficient matrix A is uniformly
 elliptic (its smallest eigenvalue >= lambda at every sample), the
 zeroth-order coefficient omega is nonnegative, and the forcing
@@ -15,14 +19,13 @@ integrability exponent q lies strictly above the critical value 1 + N/2.
 so every spec that exists is admissible.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from parabolab.errors import ConfigurationError, EvaluationError
-
-SPACETIME = "spacetime"
-TIMESLICE = "timeslice"
 
 # Tolerance on ellipticity: the smallest eigenvalue of A must reach
 # lam - _H1_SLACK.
@@ -131,47 +134,51 @@ def make_grid(box, nx, T, nt) -> Grid:
     return Grid(box=box, nx=nx, T=T, nt=nt)
 
 
-def _grid_point(grid: Grid, idx, spacetime: bool) -> tuple:
+def _grid_point(grid: Grid, idx) -> tuple:
     """Coordinates of an array index: cell midpoints, then the time level's t
-    for a space-time array."""
+    for an index into a space-time array."""
     idx = tuple(int(i) for i in idx)
-    if spacetime:
-        return _grid_point(grid, idx[1:], False) + (idx[0] * grid.dt,)
+    if len(idx) > grid.dim:
+        return _grid_point(grid, idx[1:]) + (idx[0] * grid.dt,)
     return tuple(float(grid.midpoints(k)[i]) for k, i in enumerate(idx))
+
+
+def at_level(grid: Grid, entry, n: int):
+    """Time level n of a space-time array; a scalar or a spatial array is
+    the same at every level and comes back as it is."""
+    return entry[n] if np.ndim(entry) > grid.dim else entry
 
 
 @dataclass(frozen=True, eq=False)
 class Field:
     """Sampled scalar field on a grid.
 
-    ``kind`` is 'spacetime' (shape (nt+1, *nx), one slice per time level)
-    or 'timeslice' (shape (*nx)).  Values must be finite; construction
-    raises :class:`EvaluationError` naming the first offending point
-    otherwise.  Fields are treated as immutable once built.
+    ``values`` has the space-time shape (nt+1, *nx), one slice per time
+    level, or the spatial shape (*nx); :attr:`spacetime` tells which.
+    Values must be finite; construction raises :class:`EvaluationError`
+    naming the first offending point otherwise.  Fields are treated as
+    immutable once built.
     """
 
     grid: Grid
     values: np.ndarray
-    kind: str = SPACETIME
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
-        if self.kind not in (SPACETIME, TIMESLICE):
-            raise ConfigurationError(f"unknown field kind {self.kind!r}")
-        want = self.grid.shape_spacetime if self.kind == SPACETIME else self.grid.shape_space
-        if vals.shape != want:
+        if vals.shape not in (self.grid.shape_space, self.grid.shape_spacetime):
             raise ConfigurationError(
-                f"{self.kind} field shape {vals.shape} does not match grid shape {want}")
+                f"field shape {vals.shape} is neither spatial {self.grid.shape_space} "
+                f"nor space-time {self.grid.shape_spacetime}")
         if not np.isfinite(vals).all():
-            point = _grid_point(self.grid, np.argwhere(~np.isfinite(vals))[0],
-                                self.kind == SPACETIME)
+            point = _grid_point(self.grid, np.argwhere(~np.isfinite(vals))[0])
             raise EvaluationError(f"non-finite field value at point {point}")
 
-    @classmethod
-    def zeros(cls, grid: Grid, kind: str = SPACETIME) -> "Field":
-        shape = grid.shape_spacetime if kind == SPACETIME else grid.shape_space
-        return cls(grid, np.zeros(shape), kind)
+    @property
+    def spacetime(self) -> bool:
+        """True when the values vary in time, one slice per time level."""
+        return self.values.ndim > self.grid.dim
+
 
 def sample(fn, grid: Grid) -> Field:
     """Sample ``fn(x1, ..., xN, t)`` at cell midpoints and all time levels.
@@ -184,28 +191,36 @@ def sample(fn, grid: Grid) -> Field:
     out = np.empty(grid.shape_spacetime)
     for n, t in enumerate(grid.time_levels()):
         out[n] = np.broadcast_to(fn(*mesh, t), grid.shape_space)
-    return Field(grid, out, SPACETIME)
+    return Field(grid, out)
 
 
 def sample_initial(fn, grid: Grid) -> Field:
     """Sample the initial datum ``fn(x1, ..., xN)`` at cell midpoints."""
     mesh = grid.meshgrid()
     vals = np.broadcast_to(fn(*mesh), grid.shape_space).copy()
-    return Field(grid, vals, TIMESLICE)
+    return Field(grid, vals)
 
 
 def _check_coefficient_shape(grid: Grid, value, name: str):
-    """Coefficient entries are scalars, static space arrays, or space-time arrays."""
-    if np.isscalar(value):
+    """A coefficient entry (a_ij or omega) as stored: a finite number
+    (constant), or the values of a :class:`Field`, spatial (static in time)
+    or space-time."""
+    if isinstance(value, numbers.Real):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"coefficient {name} is not finite: {value!r}")
         return float(value)
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape not in (grid.shape_space, grid.shape_spacetime):
-        raise ConfigurationError(
-            f"coefficient {name}: shape {arr.shape} is neither spatial {grid.shape_space} "
-            f"nor space-time {grid.shape_spacetime}")
-    if not np.isfinite(arr).all():
-        raise ConfigurationError(f"coefficient {name} contains non-finite values")
-    return arr
+    if not isinstance(value, np.ndarray):
+        raise ConfigurationError(f"coefficient {name}: expected a number or an array, "
+                                 f"got {type(value).__name__}")
+    try:
+        return Field(grid, value).values
+    except ConfigurationError as err:
+        raise ConfigurationError(f"coefficient {name}: {err}") from err
+
+
+def entry_name(i: int, j: int) -> str:
+    """The name of a_ij, for i <= j: axx, axy, ..., azz."""
+    return f"a{'xyz'[i]}{'xyz'[j]}"
 
 
 class MatrixCoefficient:
@@ -223,13 +238,14 @@ class MatrixCoefficient:
         if len(diag) != grid.dim:
             raise ConfigurationError(
                 f"A needs {grid.dim} diagonal entries, got {len(diag)}")
-        self.diag = [_check_coefficient_shape(grid, d, f"a{k}{k}") for k, d in enumerate(diag)]
+        self.diag = [_check_coefficient_shape(grid, d, entry_name(k, k))
+                     for k, d in enumerate(diag)]
         self.off = {}
         for (i, j), value in (off or {}).items():
             if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
                 raise ConfigurationError(f"invalid off-diagonal index pair ({i}, {j})")
             key = (min(i, j), max(i, j))
-            self.off[key] = _check_coefficient_shape(grid, value, f"a{key[0]}{key[1]}")
+            self.off[key] = _check_coefficient_shape(grid, value, entry_name(*key))
 
     @classmethod
     def identity(cls, grid: Grid) -> "MatrixCoefficient":
@@ -241,13 +257,6 @@ class MatrixCoefficient:
             return self.diag[i]
         return self.off.get((min(i, j), max(i, j)), 0.0)
 
-    def at_time(self, i: int, j: int, t_index: int):
-        """Entry a_ij at one time level: scalar or spatial array."""
-        value = self.component(i, j)
-        if np.isscalar(value) or value.shape == self.grid.shape_space:
-            return value
-        return value[t_index]
-
 
 def _lowest(grid: Grid, values):
     """The smallest sample of a scalar or array and, for an array, the text
@@ -255,17 +264,17 @@ def _lowest(grid: Grid, values):
     if np.isscalar(values):
         return float(values), ""
     idx = np.unravel_index(np.argmin(values), values.shape)
-    point = _grid_point(grid, idx, values.shape == grid.shape_spacetime)
-    return float(values[idx]), f" at point {point}"
+    return float(values[idx]), f" at point {_grid_point(grid, idx)}"
 
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full problem data: grid, coefficients, forcing, initial state.
 
-    ``omega`` may be a scalar or a Field (timeslice = static in time).
-    ``lam`` is the claimed ellipticity constant, ``q`` the integrability
-    exponent of the forcing used by the diagnostics.
+    ``omega`` is stored like an entry of A: a number, a spatial array or a
+    space-time array.  ``f`` is a space-time field, ``phi0`` a spatial
+    one.  ``lam`` is the claimed ellipticity constant, ``q`` the
+    integrability exponent of the forcing used by the diagnostics.
 
     Construction checks the standing hypotheses: the smallest eigenvalue
     of A reaches lam - 1e-10 at every sample, omega is nonnegative, and q
@@ -285,12 +294,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.A.grid != self.grid:
             raise ConfigurationError("A lives on a different grid")
-        if self.f.grid != self.grid or self.f.kind != SPACETIME:
-            raise ConfigurationError("f must be a spacetime field on the same grid")
-        if self.phi0.grid != self.grid or self.phi0.kind != TIMESLICE:
-            raise ConfigurationError("phi0 must be a timeslice field on the same grid")
-        if isinstance(self.omega, Field) and self.omega.grid != self.grid:
-            raise ConfigurationError("omega lives on a different grid")
+        if self.f.grid != self.grid or not self.f.spacetime:
+            raise ConfigurationError("f must be a space-time field on the same grid")
+        if self.phi0.grid != self.grid or self.phi0.spacetime:
+            raise ConfigurationError("phi0 must be a spatial field on the same grid")
+        object.__setattr__(self, "omega",
+                           _check_coefficient_shape(self.grid, self.omega, "omega"))
         N = self.grid.dim
         violations = []
         if not self.lam > 0:
@@ -306,9 +315,8 @@ class ProblemSpec:
                 value, where = _lowest(self.grid, lowest if shape else float(lowest))
                 violations.append(f"smallest eigenvalue of A drops to {value!r}{where}, "
                                   f"below lambda = {self.lam!r}")
-        omega = self.omega.values if isinstance(self.omega, Field) else self.omega
-        if float(np.min(omega)) < 0:
-            value, where = _lowest(self.grid, omega)
+        if float(np.min(self.omega)) < 0:
+            value, where = _lowest(self.grid, self.omega)
             violations.append(f"omega must be nonnegative, reaches {value!r}{where}")
         critical = 1.0 + N / 2.0
         if not self.q > critical:
@@ -318,10 +326,9 @@ class ProblemSpec:
             raise ConfigurationError("problem data violate the standing hypotheses: "
                                      + "; ".join(violations))
 
-    def omega_at(self, t_index: int):
-        """omega at one time level: scalar or spatial array."""
-        if isinstance(self.omega, Field):
-            if self.omega.kind == TIMESLICE:
-                return self.omega.values
-            return self.omega.values[t_index]
-        return float(self.omega)
+    @property
+    def static(self) -> bool:
+        """True when no entry of A and not omega varies in time, so one
+        operator serves every step."""
+        entries = self.A.diag + list(self.A.off.values()) + [self.omega]
+        return all(np.ndim(entry) <= self.grid.dim for entry in entries)

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from parabolab.errors import DomainError
-from parabolab.fields import SPACETIME, Field
+from parabolab.fields import Field
 from parabolab.reductions import pairwise_sum
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -60,7 +60,7 @@ def lq_spacetime(field: Field, ps) -> list:
     measure dx dt (weight cellvol * dt per sample).  The field's nonzero
     samples are read once for all of them.  An identically zero field has
     norm 0."""
-    if field.kind != SPACETIME:
+    if not field.spacetime:
         raise DomainError("lq_spacetime requires a spacetime field")
     ps = [float(p) for p in ps]
     for p in ps:

@@ -19,7 +19,7 @@ import numpy as np
 
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
-from parabolab.fields import SPACETIME, TIMESLICE, Field, Grid, ProblemSpec
+from parabolab.fields import Field, Grid, ProblemSpec, at_level
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,15 @@ class Stencil:
         """The operator with the coefficients of ``spec`` frozen at time level
         t_index and ``shift`` added to omega; shift = 1/dt gives the
         backward-Euler step operator L + I/dt."""
-        nd = spec.grid.dim
+        g = spec.grid
         cross = []
-        for k in range(nd):
-            for j in range(k + 1, nd):
-                c = spec.A.at_time(k, j, t_index)
+        for k in range(g.dim):
+            for j in range(k + 1, g.dim):
+                c = at_level(g, spec.A.component(k, j), t_index)
                 if not (np.isscalar(c) and c == 0.0):
                     cross.append((k, j, c))
-        return cls(spec.grid, [spec.A.at_time(k, k, t_index) for k in range(nd)],
-                   cross, spec.omega_at(t_index) + shift)
+        return cls(g, [at_level(g, spec.A.component(k, k), t_index) for k in range(g.dim)],
+                   cross, at_level(g, spec.omega, t_index) + shift)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u, as a new array that the caller owns."""
@@ -183,17 +183,6 @@ class _AxisScratch:
         self.ghosted[self.last] = last
 
 
-def _coefficients_static(spec: ProblemSpec) -> bool:
-    for k in range(spec.grid.dim):
-        for j in range(k, spec.grid.dim):
-            entry = spec.A.component(k, j)
-            if not np.isscalar(entry) and np.ndim(entry) == spec.grid.dim + 1:
-                return False
-    if isinstance(spec.omega, Field) and spec.omega.kind == SPACETIME:
-        return False
-    return True
-
-
 def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     """March the initial-boundary value problem over all nt steps."""
     opts = opts or SolveOptions()
@@ -201,7 +190,7 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     cap = 10 * g.num_cells
     phi = np.empty(g.shape_spacetime)
     phi[0] = spec.phi0.values
-    static = _coefficients_static(spec)
+    static = spec.static
     residuals = []
     iterations = []
     fvals = spec.f.values
@@ -218,7 +207,7 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
         phi[n + 1] = x
         residuals.append(rel)
         iterations.append(iters)
-    return Solution(Field(g, phi, SPACETIME), tuple(residuals), tuple(iterations))
+    return Solution(Field(g, phi), tuple(residuals), tuple(iterations))
 
 
 def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
@@ -229,13 +218,13 @@ def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
     field produced without linear solves.
     """
     g = spec.grid
-    zero_history = Solution(Field.zeros(g, SPACETIME), (0.0,) * g.nt, (0,) * g.nt)
+    zero_history = Solution(Field(g, np.zeros(g.shape_spacetime)), (0.0,) * g.nt, (0,) * g.nt)
     if not np.any(spec.phi0.values):
         return solve_ibvp(spec, opts), zero_history
     if not np.any(spec.f.values):
         return zero_history, solve_ibvp(spec, opts)
-    forced = replace(spec, phi0=Field.zeros(g, TIMESLICE))
-    drift = replace(spec, f=Field.zeros(g, SPACETIME))
+    forced = replace(spec, phi0=Field(g, np.zeros(g.shape_space)))
+    drift = replace(spec, f=Field(g, np.zeros(g.shape_spacetime)))
     return solve_ibvp(forced, opts), solve_ibvp(drift, opts)
 
 

@@ -17,7 +17,7 @@ from parabolab.cli import run
 from parabolab.config import load_config
 from parabolab.errors import DomainError
 from parabolab.experiments import convergence_orders, diagnose, run_sweep, sweep_checks
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
+from parabolab.fields import (Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample)
 from parabolab.moser import chi, exponents, trace
 from parabolab.solver import solve_ibvp, solve_split
@@ -70,15 +70,15 @@ def _random_spec(rng, signed_f):
             diag.append(rng.uniform(0.3, 3.0, size=g.shape_space))
     lam = 0.9 * min(float(np.min(d)) if not np.isscalar(d) else d for d in diag)
     omega = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.5 else \
-        Field(g, rng.uniform(0.0, 2.0, g.shape_space), TIMESLICE)
+        rng.uniform(0.0, 2.0, g.shape_space)
     fv = rng.normal(size=g.shape_spacetime)
     if not signed_f:
         fv = np.abs(fv)
-    f = Field(g, fv, SPACETIME)
+    f = Field(g, fv)
     pv = rng.normal(size=g.shape_space)
     if not signed_f:
         pv = np.abs(pv)
-    phi0 = Field(g, pv, TIMESLICE)
+    phi0 = Field(g, pv)
     return ProblemSpec(g, MatrixCoefficient(g, diag), omega, f, phi0, lam, 4.0)
 
 
@@ -110,7 +110,7 @@ def _mms_l1_cases():
             return out
 
         cases.append(ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, sample(f_fn, g),
-                                 Field.zeros(g, TIMESLICE)))
+                                 Field(g, np.zeros(g.shape_space))))
     return cases
 
 

@@ -116,7 +116,8 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
 
 # the four forcing.f values once raised IndexError, TypeError, TypeError,
 # and (a misspelt parameter) ran silently with amplitude 1; [solver] takes
-# tol only, so a file that sets another key does not run silently without it
+# tol only, so a file that sets another key does not run silently without it;
+# a nan or inf entry of A once passed the hypothesis check and stalled CG (exit 2)
 @pytest.mark.parametrize("line, value, key", [("T = 0.5", "T = abc", "grid.T"),
                                               ("tol = 1e-10", "tol = 1e-1O", "solver.tol"),
                                               ("nx = 32,32", "nx = 32.9,32", "grid.nx"),
@@ -129,9 +130,13 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
                                               (F_LINE, "f = sine amplitud=12.0 decay=1.0",
                                                "forcing.f"),
                                               ("tol = 1e-10", "tol = 1e-10\nmax_iters = 100",
-                                               "solver.max_iters")],
+                                               "solver.max_iters"),
+                                              ("\na = 1.0", "\na = nan", "axx is not finite: nan"),
+                                              ("\na = 1.0", "\naxx = inf",
+                                               "axx is not finite: inf")],
                          ids=["T", "tol", "nx", "nx_empty_component", "f_empty", "f_no_value",
-                              "f_vector", "f_unknown_parameter", "solver_unknown_key"])
+                              "f_vector", "f_unknown_parameter", "solver_unknown_key",
+                              "a_nan", "axx_inf"])
 def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
     text = open(DEMO).read()
     assert line in text
@@ -255,3 +260,40 @@ def test_negative_omega_names_its_witness_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "omega must be nonnegative, reaches -2.0 at point (0.5, 0.5)" in err
+
+
+# a non-finite sample once exited 2, as a numerical failure, without naming its key
+def test_non_finite_sampled_coefficient_is_a_configuration_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write("[grid]\nbox = 0,1 0,1\nnx = 9,9\nT = 0.5\nnt = 4\n[coefficients]\n"
+                 "omega = radial amplitude=1.0 center=0.5,0.5 exponent=-1.0\n")
+    assert run(["solve", "--config", path]) == 1
+    assert capsys.readouterr().err == ("configuration error: coefficients.omega: non-finite "
+                                       "field value at point (0.5, 0.5)\n")
+
+
+# this file once loaded with lambda = 1, no cross term, omega = 0, phi0 = 0
+# and tol = 1e-10, and solve exited 0; each unknown name is refused in turn
+UNKNOWN_KEYS = ("[grid]\nbox = 0,1\nnx = 8\nT = 0.5\nnt = 4\n"
+                "[coefficients]\naxy = 0.5\nlamda = 0.5\nomegaa = -3\n"
+                "[forcing]\nphi_0 = sine amplitude=0.3\n"
+                "[solvr]\ntol = 1e-3\n")
+
+
+def test_unknown_config_keys_and_sections_are_refused(tmp_path, capsys):
+    path = os.path.join(tmp_path, "bad.cfg")
+    text = UNKNOWN_KEYS
+    for line, name in [("axy = 0.5", "coefficients.axy"), ("lamda = 0.5", "coefficients.lamda"),
+                       ("omegaa = -3", "coefficients.omegaa"),
+                       ("phi_0 = sine amplitude=0.3", "forcing.phi_0"),
+                       ("[solvr]\ntol = 1e-3", "[solvr]: unknown section")]:
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert run(["solve", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and name in err
+        text = text.replace(line + "\n", "")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run(["solve", "--config", path]) == 0

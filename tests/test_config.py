@@ -7,7 +7,6 @@ import pytest
 
 from parabolab.config import load_config
 from parabolab.errors import ConfigurationError, EvaluationError
-from parabolab.fields import SPACETIME, TIMESLICE
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -23,9 +22,8 @@ def test_demo_config_loads():
     bundle = load_config(os.path.join(CONFIGS, "demo.cfg"))
     g = bundle.grid
     assert g.dim == 2 and g.nx == (32, 32) and g.nt == 128
-    assert bundle.spec.omega.kind == TIMESLICE
-    assert np.all(bundle.spec.omega.values == 0.5)
-    assert bundle.spec.f.kind == SPACETIME
+    assert bundle.spec.omega == 0.5
+    assert bundle.spec.f.spacetime and not bundle.spec.phi0.spacetime
     assert bundle.sweep is None
     assert bundle.solve_options.tol == 1e-10
 
@@ -41,8 +39,8 @@ def test_sweep_config_loads_family_settings():
     assert s.beta0 == 1.0 and s.i_max == 12
     # the radial potential is finite because the center is a cell corner
     w = bundle.spec.omega
-    assert w.kind == TIMESLICE
-    assert np.all(np.isfinite(w.values)) and np.min(w.values) > 0.0
+    assert w.shape == bundle.grid.shape_space
+    assert np.all(np.isfinite(w)) and np.min(w) > 0.0
 
 
 def test_radial_potential_on_a_sample_point_is_rejected(tmp_path):
@@ -56,7 +54,8 @@ nt = 4
 [coefficients]
 omega = radial amplitude=1.0 center=0.5,0.5 exponent=-1.0
 """)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"^coefficients\.omega: non-finite field value "
+                                              r"at point \(0\.5, 0\.5\)$"):
         load_config(path)
 
 

@@ -12,10 +12,10 @@ import pytest
 import parabolab.experiments as experiments
 from parabolab.config import load_config
 from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
-from parabolab.experiments import (SWEEP_CSV_HEADER, BumpFamily, Diagnosis, SweepResult,
+from parabolab.experiments import (BumpFamily, Diagnosis, SweepResult,
                                    SweepRow, _svg_plot, _sweep_csv, _sweep_text, bump,
                                    diagnosis_checks, fit_log_law, run_sweep, sweep_checks)
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
+from parabolab.fields import (Field, MatrixCoefficient,
                               ProblemSpec, make_grid)
 from parabolab.moser import LadderRung, MoserTrace
 from parabolab.norms import lq_spacetime
@@ -129,7 +129,7 @@ def test_fit_refuses_degenerate_abscissas():
 def _small_template():
     g = make_grid([(0.0, 0.75), (0.0, 0.75)], [16, 16], 0.26, 52)
     spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0,
-                       Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE),
+                       Field(g, np.zeros(g.shape_spacetime)), Field(g, np.zeros(g.shape_space)),
                        1.0, 4.0)
     return g, spec
 
@@ -236,7 +236,8 @@ def test_sweep_rows_round_trip_through_csv():
     assert len(result.rows) == 2
     assert result.fit is None and result.fit_note    # too few points to fit
     text = _sweep_csv(result)
-    assert text.splitlines()[0] == SWEEP_CSV_HEADER
+    assert text.splitlines()[0] == \
+        "eps,f_norm_crit,f_norm_q,phi_sup,implied_c,exp_moment,l1_lhs,l1_rhs"
     back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
     assert back.shape == (2, len(SweepRow.__dataclass_fields__))
     for row, again in zip(result.rows, back):

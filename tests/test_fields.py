@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from parabolab.errors import ConfigurationError, EvaluationError
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample, sample_initial)
+from parabolab.fields import (Field, MatrixCoefficient, ProblemSpec, at_level, make_grid, sample,
+                              sample_initial)
 
 
 def test_grid_geometry():
@@ -48,13 +48,14 @@ def test_bad_grids_rejected(box, nx, T, nt):
 def test_field_shape_and_finiteness():
     g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
     with pytest.raises(ConfigurationError):
-        Field(g, np.zeros((4,)), SPACETIME)
+        Field(g, np.zeros((5,)))
     bad = np.zeros((3, 4))
     bad[1, 2] = np.inf
     with pytest.raises(EvaluationError):
-        Field(g, bad, SPACETIME)
-    f = Field.zeros(g, TIMESLICE)
-    assert f.values.shape == (4,)
+        Field(g, bad)
+    f = Field(g, np.zeros(g.shape_space))
+    assert f.values.shape == (4,) and not f.spacetime
+    assert Field(g, np.zeros((3, 4))).spacetime
 
 
 def test_non_finite_value_names_its_grid_point():
@@ -63,7 +64,7 @@ def test_non_finite_value_names_its_grid_point():
     bad = np.zeros((3, 4))
     bad[1, 2] = np.inf
     with pytest.raises(EvaluationError, match=r"at point \(0\.625, 0\.5\)$"):
-        Field(g, bad, SPACETIME)
+        Field(g, bad)
 
 
 def test_sample_matches_manual_evaluation():
@@ -74,7 +75,7 @@ def test_sample_matches_manual_evaluation():
     for k, t in enumerate(g.time_levels()):
         assert np.allclose(f.values[k], np.sin(math.pi * X) * np.cos(Y) * math.exp(-t))
     f0 = sample_initial(lambda x, y: x + y, g)
-    assert f0.kind == TIMESLICE
+    assert f.spacetime and not f0.spacetime
     assert np.allclose(f0.values, X + Y)
 
 
@@ -87,45 +88,47 @@ def test_matrix_coefficient_components():
     assert B.component(1, 1) == 3.0
     # symmetric access
     assert B.component(1, 0) == B.component(0, 1) == 0.5
-    assert B.at_time(0, 0, 7) == 2.0
+    assert at_level(g, B.component(0, 0), 7) == 2.0
     spatial = np.full(g.shape_space, 1.5)
     C = MatrixCoefficient(g, [spatial, 1.0])
-    assert C.at_time(0, 0, 0).shape == g.shape_space
+    assert at_level(g, C.component(0, 0), 0).shape == g.shape_space
 
 
 def test_problem_spec_grid_mismatch():
     g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
     g2 = make_grid([(0.0, 1.0)], [5], 1.0, 2)
     A = MatrixCoefficient.identity(g)
-    f = Field.zeros(g, SPACETIME)
-    phi0 = Field.zeros(g, TIMESLICE)
+    f = Field(g, np.zeros(g.shape_spacetime))
+    phi0 = Field(g, np.zeros(g.shape_space))
     with pytest.raises(ConfigurationError):
         ProblemSpec(g2, A, 0.0, f, phi0)
     with pytest.raises(ConfigurationError):
-        ProblemSpec(g, A, 0.0, Field.zeros(g2, SPACETIME), phi0)
+        ProblemSpec(g, A, 0.0, Field(g2, np.zeros(g2.shape_spacetime)), phi0)
     with pytest.raises(ConfigurationError):
-        ProblemSpec(g, A, 0.0, f, Field.zeros(g, SPACETIME))
+        ProblemSpec(g, A, 0.0, f, Field(g, np.zeros(g.shape_spacetime)))
 
 
 def test_omega_at_all_storage_kinds():
     g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
     A = MatrixCoefficient.identity(g)
-    f = Field.zeros(g, SPACETIME)
-    phi0 = Field.zeros(g, TIMESLICE)
+    f = Field(g, np.zeros(g.shape_spacetime))
+    phi0 = Field(g, np.zeros(g.shape_space))
     s = ProblemSpec(g, A, 2.0, f, phi0)
-    assert s.omega_at(1) == 2.0
-    slab = Field(g, np.arange(4.0), TIMESLICE)
-    s = ProblemSpec(g, A, slab, f, phi0)
-    assert np.array_equal(s.omega_at(2), np.arange(4.0))
-    cube = Field(g, np.arange(12.0).reshape(3, 4), SPACETIME)
-    s = ProblemSpec(g, A, cube, f, phi0)
-    assert np.array_equal(s.omega_at(1), np.array([4.0, 5.0, 6.0, 7.0]))
+    assert at_level(g, s.omega, 1) == 2.0 and s.static
+    s = ProblemSpec(g, A, np.arange(4.0), f, phi0)
+    assert np.array_equal(at_level(g, s.omega, 2), np.arange(4.0)) and s.static
+    s = ProblemSpec(g, A, np.arange(12.0).reshape(3, 4), f, phi0)
+    assert np.array_equal(at_level(g, s.omega, 1), np.array([4.0, 5.0, 6.0, 7.0]))
+    assert not s.static
+    # an entry of A that varies in time makes the spec time-dependent too
+    axx = np.ones(g.shape_spacetime)
+    assert not ProblemSpec(g, MatrixCoefficient(g, [axx]), 2.0, f, phi0).static
 
 
 def _spec(g, A=None, omega=0.0, lam=1.0, q=4.0):
     A = A if A is not None else MatrixCoefficient.identity(g)
-    return ProblemSpec(g, A, omega, Field.zeros(g, SPACETIME),
-                       Field.zeros(g, TIMESLICE), lam, q)
+    return ProblemSpec(g, A, omega, Field(g, np.zeros(g.shape_spacetime)),
+                       Field(g, np.zeros(g.shape_space)), lam, q)
 
 
 def _violations(g, **kwargs):
@@ -193,11 +196,32 @@ def test_validate_flags_negative_omega_with_location():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 2)
     w = np.zeros(8)
     w[3] = -0.25
-    bad = [m for m in _violations(g, omega=Field(g, w, TIMESLICE)) if "omega" in m]
+    bad = [m for m in _violations(g, omega=w) if "omega" in m]
     assert len(bad) == 1
     value, point = _witness(bad[0])
     assert value == -0.25
     assert math.isclose(point[0], (3 + 0.5) / 8)
+
+
+# a nan entry once passed the hypothesis check: eigvalsh returned nan, and
+# nan < lambda is false, so CG met the nan instead
+def test_coefficient_entries_are_finite_numbers_or_arrays():
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    with pytest.raises(ConfigurationError, match="^coefficient axx is not finite: nan$"):
+        MatrixCoefficient(g, [math.nan, 1.0])
+    with pytest.raises(ConfigurationError, match="^coefficient axy is not finite: inf$"):
+        MatrixCoefficient(g, [1.0, 1.0], {(0, 1): math.inf})
+    with pytest.raises(ConfigurationError, match="^coefficient omega is not finite: nan$"):
+        _spec(g, omega=float("nan"))
+    bad = np.ones(g.shape_space)
+    bad[1, 2] = np.inf
+    with pytest.raises(ConfigurationError, match=r"^coefficient omega: non-finite field value "
+                                                 r"at point \(0\.375, 0\.625\)$"):
+        _spec(g, omega=bad)
+    # omega is stored like an entry of A, so a Field is refused
+    with pytest.raises(ConfigurationError, match="^coefficient omega: expected a number or an "
+                                                 "array, got Field$"):
+        _spec(g, omega=Field(g, np.zeros(g.shape_space)))
 
 
 def test_validate_critical_q_is_excluded():

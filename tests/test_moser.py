@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from parabolab.errors import (ConsistencyError, DomainError, RangeError)
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample)
+from parabolab.fields import Field, MatrixCoefficient, ProblemSpec, make_grid, sample
 from parabolab.experiments import diagnose
 from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
                              exp_moment, exponents, l1_check, ladder, trace, trace_to_csv)
@@ -19,9 +18,8 @@ from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.solver import solve_split
 
 
-def _const(g, c, kind=SPACETIME):
-    shape = g.shape_spacetime if kind == SPACETIME else g.shape_space
-    return Field(g, np.full(shape, float(c)), kind)
+def _const(g, c, shape=None):
+    return Field(g, np.full(shape or g.shape_spacetime, float(c)))
 
 
 def _grid():
@@ -36,7 +34,7 @@ def _log_const(g, c):
 def test_normalize_uses_critical_norm_floored_at_one():
     g = _grid()
     phi = _const(g, 3.0)
-    zeros = (Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE))
+    zeros = (Field(g, np.zeros(g.shape_spacetime)), Field(g, np.zeros(g.shape_space)))
 
     def diagnosis(f):
         return diagnose(phi, *zeros, f, 4.0)
@@ -96,7 +94,7 @@ def test_l1_check_on_a_real_solution():
     f = sample(lambda x, y, t: 4.0 * np.sin(math.pi * x) * np.sin(math.pi * y)
                * math.exp(-t), g)
     spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.25, f,
-                       Field.zeros(g, TIMESLICE))
+                       Field(g, np.zeros(g.shape_space)))
     forced, _ = solve_split(spec)
     f_norm_1, f_norm_crit = lq_spacetime(f, (1.0, 2.0))
     scale = max(f_norm_crit, 1.0)
@@ -254,7 +252,7 @@ def test_choose_alpha_skips_rates_that_overflow_in_any_table():
 
 def test_assemble_bound_zero_forcing_paths():
     g = _grid()
-    phi0 = _const(g, 1.0, TIMESLICE)
+    phi0 = _const(g, 1.0, g.shape_space)
     decayed = _const(g, 0.8)
     rep = assemble_bound(ess_sup(decayed), ess_sup(phi0), 0.0, 0.0, 4.0, 2)
     assert rep.implied_c == 0.0
@@ -266,7 +264,7 @@ def test_assemble_bound_zero_forcing_paths():
 def test_assemble_bound_populates_exponents():
     g = _grid()
     rng = np.random.default_rng(6)
-    phi = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
+    phi = Field(g, rng.normal(size=g.shape_spacetime))
     f = _const(g, 2.0)
     rep = assemble_bound(ess_sup(phi), 0.0, *lq_spacetime(f, (2.0, 4.0)),
                          4.0, 2, beta0=1.0, alpha=1.0)

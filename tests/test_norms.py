@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parabolab.errors import DomainError
-from parabolab.fields import SPACETIME, TIMESLICE, Field, make_grid, sample
+from parabolab.fields import Field, make_grid, sample
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime, sup_t_spatial_l1
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import Stencil
@@ -17,7 +17,7 @@ def _ramp_field():
     # f(x, t) = x on (0,1) x (0,1); initial slice excluded by the quadrature
     g = make_grid([(0.0, 1.0)], [64], 1.0, 32)
     vals = np.broadcast_to(g.midpoints(0), (33, 64)).copy()
-    return g, Field(g, vals, SPACETIME)
+    return g, Field(g, vals)
 
 
 def _averaged(f, p):
@@ -48,9 +48,9 @@ def test_linear_moment_is_exact():
 def test_constant_field_norms():
     g = make_grid([(0.0, 2.0), (0.0, 1.0)], [8, 8], 0.5, 4)
     c = 3.7
-    f = Field(g, np.full(g.shape_spacetime, c), SPACETIME)
+    f = Field(g, np.full(g.shape_spacetime, c))
     vol = 2.0 * 0.5
-    negative = Field(g, -f.values, SPACETIME)
+    negative = Field(g, -f.values)
     ps = (1.0, 2.0, 5.0, 16.0, 64.0)
     norms = lq_spacetime(f, ps)
     for p, norm in zip(ps, norms):
@@ -63,7 +63,7 @@ def test_constant_field_norms():
 def test_averaged_norms_nondecreasing_in_p():
     rng = np.random.default_rng(7)
     g = make_grid([(0.0, 1.0)], [32], 1.0, 16)
-    f = Field(g, rng.uniform(0.0, 2.0, g.shape_spacetime), SPACETIME)
+    f = Field(g, rng.uniform(0.0, 2.0, g.shape_spacetime))
     ps = [1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 64.0]
     ns = [_averaged(f, p) for p in ps]
     for a, b in zip(ns, ns[1:]):
@@ -74,7 +74,7 @@ def test_averaged_norms_nondecreasing_in_p():
 def test_log_space_path_agrees_with_direct():
     rng = np.random.default_rng(3)
     g = make_grid([(0.0, 1.0)], [32], 1.0, 8)
-    f = Field(g, rng.uniform(0.1, 1.5, g.shape_spacetime), SPACETIME)
+    f = Field(g, rng.uniform(0.1, 1.5, g.shape_spacetime))
     # every p sums in log space; the direct power sums are still safe here
     vals = np.abs(f.values[1:])
     ps = (1.0, 2.0, 4.0, 32.0)
@@ -92,7 +92,7 @@ def test_high_p_closes_on_ess_sup():
 
 def test_huge_values_overflow_direct_but_not_log_space():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
-    f = Field(g, np.full(g.shape_spacetime, 1e30), SPACETIME)
+    f = Field(g, np.full(g.shape_spacetime, 1e30))
     # (1e30)^16 passes the largest double, but the norm itself is finite
     ps = (1.0, 2.0, 16.0)
     for p, norm in zip(ps, lq_spacetime(f, ps)):
@@ -114,11 +114,11 @@ def test_holder_inequality():
     rng = np.random.default_rng(11)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 4)
     for _ in range(20):
-        u = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
-        v = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
+        u = Field(g, rng.normal(size=g.shape_spacetime))
+        v = Field(g, rng.normal(size=g.shape_spacetime))
         p = rng.uniform(1.1, 6.0)
         pc = p / (p - 1.0)
-        prod = Field(g, u.values * v.values, SPACETIME)
+        prod = Field(g, u.values * v.values)
         lhs, = lq_spacetime(prod, [1.0])
         rhs = lq_spacetime(u, [p])[0] * lq_spacetime(v, [pc])[0]
         assert lhs <= rhs * (1.0 + 1e-12)
@@ -126,14 +126,14 @@ def test_holder_inequality():
 
 def test_zero_field_and_bad_exponent():
     g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
-    z = Field.zeros(g, SPACETIME)
+    z = Field(g, np.zeros(g.shape_spacetime))
     assert lq_spacetime(z, [3.0, 1.0]) == [0.0, 0.0]
     assert ess_sup(z) == 0.0
     for ps in ([0.5], [2.0, 0.5], [math.inf]):
         with pytest.raises(DomainError):
             lq_spacetime(z, ps)
     with pytest.raises(DomainError):
-        lq_spacetime(Field.zeros(g, TIMESLICE), [2.0])
+        lq_spacetime(Field(g, np.zeros(g.shape_space)), [2.0])
 
 
 def test_sup_t_spatial_l1_picks_worst_slice():
@@ -141,7 +141,7 @@ def test_sup_t_spatial_l1_picks_worst_slice():
     vals = np.zeros(g.shape_spacetime)
     for k in range(6):
         vals[k] = (5 - k) * 0.5   # largest mass on the initial slice
-    f = Field(g, vals, SPACETIME)
+    f = Field(g, vals)
     # slice 0 participates: the estimate controls every time level
     assert math.isclose(sup_t_spatial_l1(f.values, g.cell_volume), 2.5 * 2.0, rel_tol=1e-14)
 

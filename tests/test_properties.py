@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from parabolab.experiments import Diagnosis, diagnose
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient, ProblemSpec,
+from parabolab.fields import (Field, MatrixCoefficient, ProblemSpec,
                               make_grid)
 from parabolab.moser import ALPHA_CANDIDATES, exp_moment, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
@@ -70,11 +70,9 @@ def problems(draw):
     off = {(k, j): _coefficient(draw, shape, -0.2, 0.2) for k in range(len(nx))
            for j in range(k + 1, len(nx)) if draw(st.booleans())}
     A = MatrixCoefficient(g, [_coefficient(draw, shape, 0.5, 2.0) for _ in nx], off)
-    omega = _coefficient(draw, shape, 0.0, 2.0)
-    if np.ndim(omega):
-        omega = Field(g, omega, TIMESLICE)
-    return ProblemSpec(g, A, omega, Field(g, draw(_unit_arrays(g.shape_spacetime)), SPACETIME),
-                       Field(g, draw(_unit_arrays(shape)), TIMESLICE), lam=0.05)
+    return ProblemSpec(g, A, _coefficient(draw, shape, 0.0, 2.0),
+                       Field(g, draw(_unit_arrays(g.shape_spacetime))),
+                       Field(g, draw(_unit_arrays(shape))), lam=0.05)
 
 
 # u.Mv against v.Mu relative to |u| |Mv|, the Cauchy-Schwarz bound of
@@ -105,8 +103,8 @@ def test_split_parts_sum_to_the_full_solution(spec):
 def test_solutions_superpose_in_the_forcing(spec, data):
     g = spec.grid
     f1, f2 = spec.f.values, data.draw(_unit_arrays(g.shape_spacetime))
-    phi1, phi2, phi12 = (solve_ibvp(replace(spec, f=Field(g, f, SPACETIME),
-                                            phi0=Field.zeros(g, TIMESLICE))).phi.values
+    phi1, phi2, phi12 = (solve_ibvp(replace(spec, f=Field(g, f),
+                                            phi0=Field(g, np.zeros(g.shape_space)))).phi.values
                          for f in (f1, f2, f1 + f2))
     _assert_close(phi1 + phi2, phi12)
 
@@ -126,10 +124,10 @@ def test_power_sums_match_direct_sums_with_zeros_present(x, exponents):
            st.just(0.0), st.floats(1e-3, 1e30), st.floats(-1e30, -1e-3))),
        st.lists(st.floats(1.0, 40.0), min_size=1, max_size=5))
 def test_lq_norms_match_single_calls_signs_and_direct_sums(values, ps):
-    f = Field(GRID, values, SPACETIME)
+    f = Field(GRID, values)
     norms = lq_spacetime(f, ps)
     assert norms == [lq_spacetime(f, [p])[0] for p in ps]
-    assert norms == lq_spacetime(Field(GRID, -values, SPACETIME), ps)
+    assert norms == lq_spacetime(Field(GRID, -values), ps)
     for p, norm in zip(ps, norms):
         with np.errstate(over="ignore"):
             total = float(np.sum(np.abs(values[1:]) ** p))
@@ -161,8 +159,8 @@ def _two_sign_chain(phi1, phi2, phi0, f, q, beta0=1.0, i_max=12):
 
 def _chains_agree(phi1, drift, forcing):
     phi1[0] = 0.0
-    fields = (Field(GRID, phi1, SPACETIME), Field(GRID, drift, SPACETIME),
-              Field(GRID, drift[0], TIMESLICE), Field(GRID, forcing, SPACETIME))
+    fields = (Field(GRID, phi1), Field(GRID, drift),
+              Field(GRID, drift[0]), Field(GRID, forcing))
     d = diagnose(*fields, 4.0)
     assert d.scale == 1.0
     assert d == _two_sign_chain(*fields, 4.0)

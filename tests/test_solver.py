@@ -8,7 +8,7 @@ import pytest
 
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
-from parabolab.fields import (SPACETIME, TIMESLICE, Field, MatrixCoefficient,
+from parabolab.fields import (Field, MatrixCoefficient,
                               ProblemSpec, make_grid, sample_initial)
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, Stencil, export_solution, solve_ibvp, solve_split
@@ -18,8 +18,8 @@ def _heat_spec(g, f=None, phi0=None, omega=0.0, diag=None):
     A = MatrixCoefficient.identity(g) if diag is None else MatrixCoefficient(g, diag)
     return ProblemSpec(g, A,
                        omega,
-                       f if f is not None else Field.zeros(g, SPACETIME),
-                       phi0 if phi0 is not None else Field.zeros(g, TIMESLICE))
+                       f if f is not None else Field(g, np.zeros(g.shape_spacetime)),
+                       phi0 if phi0 is not None else Field(g, np.zeros(g.shape_space)))
 
 
 def test_step_reproduces_discrete_eigenmode_decay():
@@ -46,10 +46,10 @@ def test_zero_problem_stays_zero_without_iterations():
 def test_superposition_of_forcings():
     rng = np.random.default_rng(21)
     g = make_grid([(0.0, 1.0), (0.0, 2.0)], [10, 12], 0.4, 8)
-    f1 = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
-    f2 = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
-    both = Field(g, f1.values + f2.values, SPACETIME)
-    omega = Field(g, rng.uniform(0.0, 2.0, g.shape_space), TIMESLICE)
+    f1 = Field(g, rng.normal(size=g.shape_spacetime))
+    f2 = Field(g, rng.normal(size=g.shape_spacetime))
+    both = Field(g, f1.values + f2.values)
+    omega = rng.uniform(0.0, 2.0, g.shape_space)
     diag = [rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]
     a = solve_ibvp(_heat_spec(g, f=f1, omega=omega, diag=diag)).phi.values
     b = solve_ibvp(_heat_spec(g, f=f2, omega=omega, diag=diag)).phi.values
@@ -61,8 +61,8 @@ def test_superposition_of_forcings():
 def test_split_parts_sum_to_full_solution():
     rng = np.random.default_rng(33)
     g = make_grid([(0.0, 1.0)], [24], 0.5, 12)
-    f = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
-    phi0 = Field(g, rng.normal(size=g.shape_space), TIMESLICE)
+    f = Field(g, rng.normal(size=g.shape_spacetime))
+    phi0 = Field(g, rng.normal(size=g.shape_space))
     spec = _heat_spec(g, f=f, phi0=phi0, omega=0.3)
     full = solve_ibvp(spec).phi.values
     forced, drift = solve_split(spec)
@@ -82,7 +82,7 @@ def test_split_shortcuts_skip_work():
 def test_initial_data_contracts_in_sup_norm():
     rng = np.random.default_rng(2)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [12, 12], 1.0, 10)
-    phi0 = Field(g, rng.normal(size=g.shape_space), TIMESLICE)
+    phi0 = Field(g, rng.normal(size=g.shape_space))
     sol = solve_ibvp(_heat_spec(g, phi0=phi0, omega=0.5))
     assert np.max(np.abs(sol.phi.values)) <= np.max(np.abs(phi0.values)) + 1e-12
 
@@ -90,8 +90,8 @@ def test_initial_data_contracts_in_sup_norm():
 def test_maximum_principle_smoke():
     rng = np.random.default_rng(4)
     g = make_grid([(0.0, 1.0)], [16], 0.6, 8)
-    f = Field(g, rng.uniform(0.0, 3.0, g.shape_spacetime), SPACETIME)
-    phi0 = Field(g, rng.uniform(0.0, 1.0, g.shape_space), TIMESLICE)
+    f = Field(g, rng.uniform(0.0, 3.0, g.shape_spacetime))
+    phi0 = Field(g, rng.uniform(0.0, 1.0, g.shape_space))
     sol = solve_ibvp(_heat_spec(g, f=f, phi0=phi0, diag=[1.7]))
     assert np.min(sol.phi.values) >= -1e-12
 
@@ -99,8 +99,8 @@ def test_maximum_principle_smoke():
 def test_large_steps_remain_stable_and_bounded():
     # dt = 2.5 is far beyond any explicit stability limit
     g = make_grid([(0.0, 1.0)], [32], 10.0, 4)
-    f = Field(g, np.full(g.shape_spacetime, 2.0), SPACETIME)
-    phi0 = Field(g, np.full(g.shape_space, 1.0), TIMESLICE)
+    f = Field(g, np.full(g.shape_spacetime, 2.0))
+    phi0 = Field(g, np.full(g.shape_space, 1.0))
     sol = solve_ibvp(_heat_spec(g, f=f, phi0=phi0))
     bound = 1.0 + 10.0 * 2.0
     assert np.max(np.abs(sol.phi.values)) <= bound
@@ -113,17 +113,17 @@ def test_cross_terms_keep_solver_symmetric():
     rng = np.random.default_rng(8)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [10, 10], 0.3, 6)
     A = MatrixCoefficient(g, [1.0, 1.3], {(0, 1): 0.4})
-    f = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
-    spec = ProblemSpec(g, A, 0.0, f, Field.zeros(g, TIMESLICE), lam=0.5)
+    f = Field(g, rng.normal(size=g.shape_spacetime))
+    spec = ProblemSpec(g, A, 0.0, f, Field(g, np.zeros(g.shape_space)), lam=0.5)
     sol = solve_ibvp(spec)
     assert np.all(np.isfinite(sol.phi.values))
     assert max(sol.residuals) < 1e-9
     # <u, L v> = <L u, v> with a varying axx, a varying cross term and a varying omega
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
     axy = 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)
-    omega = Field(g, rng.random(g.shape_space), TIMESLICE)
+    omega = rng.random(g.shape_space)
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): axy})
-    L = Stencil.at(ProblemSpec(g, A, omega, f, Field.zeros(g, TIMESLICE), lam=0.5), 1)
+    L = Stencil.at(ProblemSpec(g, A, omega, f, Field(g, np.zeros(g.shape_space)), lam=0.5), 1)
     u, v = rng.normal(size=(2, *g.shape_space))
     assert math.isclose(np.sum(u * L.apply(v)), np.sum(L.apply(u) * v), rel_tol=1e-12)
 
@@ -233,9 +233,9 @@ def _cross_term_step_system():
     g = make_grid([(0.0, 1.0), (0.0, 0.8)], [14, 11], 0.2, 4)
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)})
-    omega = Field(g, rng.random(g.shape_space), TIMESLICE)
-    spec = ProblemSpec(g, A, omega, Field.zeros(g, SPACETIME), Field.zeros(g, TIMESLICE),
-                       lam=0.5)
+    omega = rng.random(g.shape_space)
+    spec = ProblemSpec(g, A, omega, Field(g, np.zeros(g.shape_spacetime)),
+                       Field(g, np.zeros(g.shape_space)), lam=0.5)
     apply_op = Stencil.at(spec, 1, 1.0 / g.dt).apply
     history = rng.normal(size=(3, *g.shape_space))
     b = history[1] / g.dt + rng.normal(size=g.shape_space)
@@ -277,9 +277,8 @@ def test_cg_failures_carry_their_residuals():
 def test_time_dependent_omega_matches_manual_stepping():
     g = make_grid([(0.0, 1.0)], [12], 0.5, 5)
     ramp = np.broadcast_to(np.linspace(0.0, 2.0, 6)[:, None], (6, 12)).copy()
-    omega = Field(g, ramp, SPACETIME)
-    f = Field(g, np.ones(g.shape_spacetime), SPACETIME)
-    spec = _heat_spec(g, f=f, omega=omega)
+    f = Field(g, np.ones(g.shape_spacetime))
+    spec = _heat_spec(g, f=f, omega=ramp)
     sol = solve_ibvp(spec)
     # each step rebuilt by hand from the operator frozen at the new level
     state = np.zeros(g.shape_space)
@@ -293,7 +292,7 @@ def test_time_dependent_omega_matches_manual_stepping():
 def test_export_import_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     g = make_grid([(0.0, 0.75), (0.25, 1.0)], [6, 5], 0.3, 4)
-    f = Field(g, rng.normal(size=g.shape_spacetime), SPACETIME)
+    f = Field(g, rng.normal(size=g.shape_spacetime))
     sol = solve_ibvp(_heat_spec(g, f=f))
     path = os.path.join(tmp_path, "solution.txt")
     export_solution(sol, path)
