@@ -61,7 +61,7 @@ def _cmd_diagnose(args) -> int:
     i_max = bundle.sweep.i_max if bundle.sweep else 12
     check_ladder(beta0, i_max)
     forced, drift = solve_split(spec, opts=bundle.solve_options)
-    d = diagnose(forced.phi, drift.phi, spec.phi0, spec.f, spec.q, beta0, i_max)
+    d = diagnose(spec, forced.phi, drift.phi, beta0, i_max)
     report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,
                             spec.q, spec.grid.dim, beta0)
     l1_lhs, l1_rhs, _ = d.l1

@@ -5,25 +5,28 @@ Grammar: INI sections with `key = value` lines.
   [grid]          box = 0,1 0,1   nx = 96,96   T = 0.26   nt = 1088
   [coefficients]  a = 1.0 (isotropic) or 1.0,2.0 (diagonal), individual
                   entries axx, ayy, azz, axy, axz, ayz (for the grid's
-                  axes) and omega (a number or a function), lambda, q
-  [forcing]       f = <function>, phi0 = <function>
+                  axes) and omega, lambda, q
+  [forcing]       f, phi0
   [sweep]         eps = 0.25,0.125,...  gamma, x0, t0, amplitude, beta0,
                   i_max, moment_cap (all optional except eps)
   [solver]        tol (optional)
 
 Only [grid] is required.  An unlisted section or key is refused, naming
 section.key, and so is a non-finite sample, naming its key and point.
-An a_ij or omega function varies in time (a space-time array) when it is
-a bump or a decaying sine, else it is one spatial array.
+Values are read literally: `%` has no meaning.
 
-Function values are `name key=val ...`, taking only the parameters
-listed, one number each (comma-separated for center, x0).  Names:
+Every a_ij, omega, f and phi0 is a number or a function, read by one
+rule: a number, constant or zero is a float; radial, or a sine without
+decay, is one spatial array; a decaying sine or a bump is a space-time
+array, which varies in time, so phi0 may not be one.  Function values
+are `name key=val ...`, taking only the parameters listed, one number
+each (comma-separated for center, x0).  Names:
 
   zero
   constant value=V
   sine amplitude=A decay=D      A * prod_k sin(pi (x_k-lo_k)/L_k) * e^(-D t)
   radial amplitude=A center=a,b exponent=P     A * |x - center|^P
-  bump eps=E gamma=G x0=a,b t0=C   (space-time only, so not phi0)
+  bump eps=E gamma=G x0=a,b t0=C
 
 A bare number is shorthand for `constant value=<number>`.  A radial
 omega with P slightly above -2 stays integrable while damping a
@@ -38,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parabolab.errors import ConfigurationError, EvaluationError
+from parabolab.errors import ConfigurationError
 from parabolab.experiments import BumpFamily, bump
-from parabolab.fields import (Field, Grid, MatrixCoefficient, ProblemSpec, entry_name, make_grid,
+from parabolab.fields import (Grid, MatrixCoefficient, ProblemSpec, entry_name, make_grid,
                               sample, sample_initial)
 from parabolab.solver import SolveOptions
 
@@ -130,59 +133,39 @@ def _sine_fn(grid: Grid, amplitude: float = 1.0, decay: float = 0.0):
     return fn
 
 
-def _build_field(text: str, key: str, grid: Grid, spacetime: bool) -> Field:
-    """The field a config value describes, space-time or one spatial slice.
-    A non-finite sample raises EvaluationError naming key and the point."""
-    try:
-        name, params = "constant", {"value": float(text)}
-    except ValueError:
-        name, params = _parse_function(text, key)
-    shape = grid.shape_spacetime if spacetime else grid.shape_space
-    try:
-        if name == "zero":
-            return Field(grid, np.zeros(shape))
-        if name == "constant":
-            return Field(grid, np.full(shape, params.get("value", 1.0)))
-        if name == "sine":
-            fn = _sine_fn(grid, params.get("amplitude", 1.0), params.get("decay", 0.0))
-            return sample(fn, grid) if spacetime else sample_initial(fn, grid)
-        if name == "radial":
-            center = params.get("center", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
-            if len(center) != grid.dim:
-                raise ConfigurationError(f"{key}: radial center needs {grid.dim} components")
-            amplitude = params.get("amplitude", 1.0)
-            exponent = params.get("exponent", -1.0)
-            mesh = grid.meshgrid()
-            r2 = np.zeros(grid.shape_space)
-            for k in range(grid.dim):
-                r2 = r2 + (mesh[k] - center[k]) ** 2
-            with np.errstate(divide="ignore"):
-                vals = amplitude * r2 ** (0.5 * exponent)
-            if spacetime:
-                vals = np.broadcast_to(vals, shape).copy()
-            return Field(grid, vals)
-        # bump, the one registered function left
-        if not spacetime:
-            raise ConfigurationError(f"{key}: bump is a space-time forcing only")
-        if "eps" not in params:
-            raise ConfigurationError(f"{key}: bump needs eps=...")
-        x0 = params.get("x0", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
-        return bump(params["eps"], params.get("gamma", 2.0),
-                    (*x0, params.get("t0", 0.6 * grid.T)), grid)
-    except EvaluationError as err:
-        raise EvaluationError(f"{key}: {err}") from err
-
-
-def _coefficient_field(text: str, key: str, grid: Grid):
-    """A coefficient entry (a_ij or omega): a number as a float, else the
-    samples of its function, space-time when it varies in time, else one
-    static slice, so the solver can reuse its operator across steps."""
+def _datum(text: str, key: str, grid: Grid):
+    """The datum a config value describes, for every a_ij, omega, f and
+    phi0: a float for a number, constant or zero; a spatial array for
+    radial or a sine without decay; a space-time array for a decaying sine
+    or a bump.  :class:`ProblemSpec` checks what it returns."""
     try:
         return float(text)
     except ValueError:
         name, params = _parse_function(text, key)
-    spacetime = name == "bump" or (name == "sine" and params.get("decay", 0.0) != 0.0)
-    return _build_field(text, key, grid, spacetime).values
+    if name == "zero":
+        return 0.0
+    if name == "constant":
+        return params.get("value", 1.0)
+    if name == "sine":
+        decay = params.get("decay", 0.0)
+        fn = _sine_fn(grid, params.get("amplitude", 1.0), decay)
+        return sample(fn, grid) if decay != 0.0 else sample_initial(fn, grid)
+    if name == "radial":
+        center = params.get("center", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
+        if len(center) != grid.dim:
+            raise ConfigurationError(f"{key}: radial center needs {grid.dim} components")
+        mesh = grid.meshgrid()
+        r2 = np.zeros(grid.shape_space)
+        for k in range(grid.dim):
+            r2 = r2 + (mesh[k] - center[k]) ** 2
+        with np.errstate(divide="ignore"):
+            return params.get("amplitude", 1.0) * r2 ** (0.5 * params.get("exponent", -1.0))
+    # bump, the one registered function left
+    if "eps" not in params:
+        raise ConfigurationError(f"{key}: bump needs eps=...")
+    x0 = params.get("x0", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
+    return bump(params["eps"], params.get("gamma", 2.0), (*x0, params.get("t0", 0.6 * grid.T)),
+                grid)
 
 
 def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
@@ -203,7 +186,7 @@ def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
             key = entry_name(i, j)
             if key not in section:
                 continue
-            entry = _coefficient_field(section[key], f"coefficients.{key}", grid)
+            entry = _datum(section[key], f"coefficients.{key}", grid)
             if i == j:
                 diag[i] = entry
             else:
@@ -237,7 +220,7 @@ def load_config(path: str) -> ConfigBundle:
     """Parse a configuration file into grid, problem spec, and settings."""
     if not os.path.exists(path):
         raise ConfigurationError(f"configuration file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         parser.read(path)
@@ -262,11 +245,9 @@ def load_config(path: str) -> ConfigBundle:
     A = _build_coefficient(cs, grid)
     lam = _scalar(parser, "coefficients", "lambda", default=1.0)
     q = _scalar(parser, "coefficients", "q", default=4.0)
-    omega = _coefficient_field(parser.get("coefficients", "omega", fallback="0.0"),
-                               "coefficients.omega", grid)
-    f = _build_field(parser.get("forcing", "f", fallback="zero"), "forcing.f", grid, True)
-    phi0 = _build_field(parser.get("forcing", "phi0", fallback="zero"), "forcing.phi0", grid,
-                        False)
+    omega, f, phi0 = (_datum(parser.get(section, key, fallback="0.0"), f"{section}.{key}", grid)
+                      for section, key in (("coefficients", "omega"), ("forcing", "f"),
+                                           ("forcing", "phi0")))
     spec = ProblemSpec(grid, A, omega, f, phi0, lam, q)
 
     sweep = None
@@ -282,9 +263,12 @@ def load_config(path: str) -> ConfigBundle:
         family = BumpFamily(x0, _scalar(parser, "sweep", "t0", default=0.6 * grid.T),
                             _scalar(parser, "sweep", "gamma", default=2.0),
                             _scalar(parser, "sweep", "amplitude", default=1.0))
+        moment_cap = _scalar(parser, "sweep", "moment_cap", default=10.0)
+        if not (math.isfinite(moment_cap) and moment_cap > 0.0):
+            raise ConfigurationError(f"sweep.moment_cap must be positive and finite, "
+                                     f"got {moment_cap}")
         sweep = SweepSettings(eps, family, _scalar(parser, "sweep", "beta0", default=1.0),
-                              _scalar(parser, "sweep", "i_max", int, 12),
-                              _scalar(parser, "sweep", "moment_cap", default=10.0))
+                              _scalar(parser, "sweep", "i_max", int, 12), moment_cap)
 
     return ConfigBundle(grid, spec, sweep,
                         SolveOptions(_scalar(parser, "solver", "tol", default=1e-10)))

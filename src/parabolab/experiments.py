@@ -26,9 +26,8 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from parabolab.errors import (ConfigurationError, DomainError, FitError, ResolutionError,
-                              SolverError)
-from parabolab.fields import (Field, Grid, MatrixCoefficient, ProblemSpec, make_grid, sample,
+from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
+from parabolab.fields import (Grid, MatrixCoefficient, ProblemSpec, make_grid, sample,
                               sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, check_ladder,
                              choose_alpha, exp_moment, l1_check, trace)
@@ -62,8 +61,10 @@ def check_bump(eps: float, center, grid: Grid):
         raise ConfigurationError(
             f"center needs {N + 1} entries (x0..., t0), got {len(center)}")
     x0, t0 = center[:N], center[N]
-    if not eps > 0.0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigurationError(f"eps must be positive and finite, got {eps}")
+    if not all(math.isfinite(c) for c in center):
+        raise ConfigurationError(f"bump center (x0..., t0) must be finite, got {center}")
 
     hmax = max(grid.h)
     if eps + 1e-12 < 4.0 * hmax:
@@ -88,7 +89,7 @@ def check_bump(eps: float, center, grid: Grid):
     return x0, t0
 
 
-def bump(eps: float, gamma: float, center, grid: Grid) -> Field:
+def bump(eps: float, gamma: float, center, grid: Grid) -> np.ndarray:
     """Sample f_eps = eps^(-gamma) psi((x-x0)/eps, (t-t0)/eps^2) on the grid.
 
     center is (x0_1, ..., x0_N, t0); :func:`check_bump` guards eps.
@@ -101,8 +102,7 @@ def bump(eps: float, gamma: float, center, grid: Grid) -> Field:
         space_rho2 += ((mesh[k] - x0[k]) / eps) ** 2
     s = (grid.time_levels() - t0) / (eps * eps)
     s2 = (s * s).reshape((-1,) + (1,) * N)
-    values = eps ** (-gamma) * _psi(space_rho2[np.newaxis] + s2)
-    return Field(grid, values)
+    return eps ** (-gamma) * _psi(space_rho2[np.newaxis] + s2)
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,9 @@ class BumpFamily:
     gamma: float = 2.0
     amplitude: float = 1.0
 
-    def field(self, eps: float, grid: Grid) -> Field:
+    def field(self, eps: float, grid: Grid) -> np.ndarray:
         f = bump(eps, self.gamma, (*self.center, self.t0), grid)
-        if self.amplitude == 1.0:
-            return f
-        return Field(grid, self.amplitude * f.values)
+        return f if self.amplitude == 1.0 else self.amplitude * f
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +188,17 @@ class Diagnosis:
     moments: dict          # alpha -> max exp_moment over both signs, inf on overflow
 
 
-def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
-             beta0: float = 1.0, i_max: int = 12) -> Diagnosis:
+def diagnose(spec: ProblemSpec, phi1, phi2, beta0: float = 1.0, i_max: int = 12) -> Diagnosis:
     """Run the diagnostic chain on the forced part phi1 and drift phi2.
 
-    phi1 solves the problem with forcing f and zero data, phi2 the one
-    with data phi0 and no forcing; phi1 and f share one grid.  |f|_1,
-    |f|_{1+N/2} and |f|_q come from one read of f's support, and phi1 is
-    normalized to u = phi1 / scale with scale = max(|f|_{1+N/2}, 1).
-    The L^1 check compares u with |f|_1/scale.  Every norm that passes
-    the largest double reads inf, so nothing here raises RangeError.
+    phi1 solves spec's problem with its forcing f and zero data, phi2 the
+    one with its data phi0 and no forcing; one of them may be the number
+    0.0, as :func:`solve_split` returns a half that vanishes.  f, phi0, q
+    and the grid come from spec.  |f|_1, |f|_{1+N/2} and |f|_q come from
+    one read of f's support, and phi1 is normalized to u = phi1 / scale
+    with scale = max(|f|_{1+N/2}, 1).  The L^1 check compares u with
+    |f|_1/scale.  Every norm that passes the largest double reads inf, so
+    nothing here raises RangeError.
 
     Sign handling: the sup estimate is one-sided through the exponential,
     so the chain keeps the larger answer of u and -u.  The ladder trace,
@@ -210,16 +209,14 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
     |Omega_T| e^(rate max(-u)) on it by a relative 1e-9, far above the
     rounding of either side, so none runs when min(u) >= 0.
     """
-    if phi1.grid != f.grid:
-        raise DomainError("phi1 and f must share one grid")
-    grid = f.grid
+    grid, q = spec.grid, spec.q
     N = grid.dim
     weight = grid.cell_volume * grid.dt
-    phi = phi1.values + phi2.values
+    phi = phi1 + phi2
     phi_sup = float(np.max(np.abs(phi, out=phi)))
-    f_norm_1, f_norm_crit, f_norm_q = lq_spacetime(f, (1.0, 1.0 + N / 2.0, q))
+    f_norm_1, f_norm_crit, f_norm_q = lq_spacetime(spec.f, grid, (1.0, 1.0 + N / 2.0, q))
     scale = max(f_norm_crit, 1.0)
-    u = phi1.values / scale
+    u = np.broadcast_to(phi1, phi.shape) / scale
     reach = -float(np.min(u))   # max(-u)
     minus_wins = exp_or_inf(reach) > exp_or_inf(max(float(np.max(u)), 0.0))
     tr = trace(-u if minus_wins else u, grid, beta0, q, i_max)
@@ -230,7 +227,7 @@ def diagnose(phi1: Field, phi2: Field, phi0: Field, f: Field, q: float,
                       if not moments[a] > bound * exp_or_inf(a * (1.0 + 2.0 / N) * reach)]
         for a, m in (exp_moment(-u, grid, open_rates) if open_rates else {}).items():
             moments[a] = max(moments[a], m)
-    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
+    return Diagnosis(phi_sup, ess_sup(spec.phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
                      l1_check(u, grid, f_norm_1 / scale), tr, moments)
 
 
@@ -288,12 +285,12 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
 
     def attempt(eps):
         """(eps, Diagnosis, None), or (eps, None, reason) when the solver fails."""
-        f = family.field(eps, grid)
+        spec = replace(template, f=family.field(eps, grid))
         try:
-            forced, drift = solve_split(replace(template, f=f), opts=opts)
+            forced, drift = solve_split(spec, opts=opts)
         except SolverError as err:
             return eps, None, str(err)
-        return eps, diagnose(forced.phi, drift.phi, template.phi0, f, q, beta0, i_max), None
+        return eps, diagnose(spec, forced.phi, drift.phi, beta0, i_max), None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -401,7 +398,7 @@ def _mms_error(dim: int, n: int) -> float:
                        sample(lambda *args: k * exact(*args), grid),
                        sample_initial(lambda *xs: exact(*xs, 0.0), grid))
     sol = solve_ibvp(spec, opts=SolveOptions(tol=1e-11))
-    return float(np.max(np.abs(sol.phi.values - sample(exact, grid).values)))
+    return float(np.max(np.abs(sol.phi - sample(exact, grid))))
 
 
 def convergence_orders() -> list:

@@ -1,15 +1,17 @@
-"""Box-domain space-time grids, sampled fields, and validated problem data.
+"""Box-domain space-time grids and validated problem data.
 
 The continuous problem lives on Omega_T = Omega x (0, T) where Omega is an
 axis-aligned box in R^N, N in {1, 2, 3}.  Each axis is split into nx
-uniform cells and fields are sampled at cell midpoints; time is split into
+uniform cells and data are sampled at cell midpoints; time is split into
 nt uniform steps with samples at the nt + 1 levels t_n = n * dt.  The
 homogeneous Dirichlet condition lives on ghost faces, so no boundary nodes
 are stored.
 
-A datum varies in time exactly when its values have the space-time shape
-(nt + 1, *nx); a spatial array (*nx), or a number for a coefficient, is
-the same at every level.  :func:`at_level` reads one level of any of them.
+Every datum (an entry of A, omega, f, phi0) is a finite number or a
+finite float64 array, and :func:`check_entry` is the one check of that.
+It varies in time exactly when its array has the space-time shape
+(nt + 1, *nx); a spatial array (*nx), or a number, is the same at every
+level.  :func:`at_level` reads one level of any of them.
 
 Problem data is admissible when the coefficient matrix A is uniformly
 elliptic (its smallest eigenvalue >= lambda at every sample), the
@@ -110,9 +112,10 @@ class Grid:
 def make_grid(box, nx, T, nt) -> Grid:
     """Construct a validated grid.
 
-    ``box`` is a sequence of (lo, hi) pairs (one per axis, up to three),
-    ``nx`` the per-axis cell counts (>= 4 each), ``T`` > 0 the final time
-    and ``nt`` >= 2 the number of steps.  Errors name the offending axis.
+    ``box`` is a sequence of finite (lo, hi) pairs (one per axis, up to
+    three), ``nx`` the per-axis cell counts (>= 4 each), ``T`` > 0 the
+    finite final time and ``nt`` >= 2 the number of steps.  Errors name
+    the offending axis.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     nx = tuple(int(n) for n in (nx if np.iterable(nx) else [nx]))
@@ -121,14 +124,14 @@ def make_grid(box, nx, T, nt) -> Grid:
     if len(nx) != len(box):
         raise ConfigurationError(f"nx has {len(nx)} entries for a {len(box)}-dimensional box")
     for k, ((lo, hi), n) in enumerate(zip(box, nx)):
-        if not hi > lo:
-            raise ConfigurationError(f"axis {k}: box requires lo < hi, got ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ConfigurationError(f"axis {k}: box requires finite lo < hi, got ({lo}, {hi})")
         if n < 4:
             raise ConfigurationError(f"axis {k}: at least 4 cells required, got {n}")
     T = float(T)
     nt = int(nt)
-    if not T > 0:
-        raise ConfigurationError(f"final time must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ConfigurationError(f"final time must be positive and finite, got {T}")
     if nt < 2:
         raise ConfigurationError(f"at least 2 time steps required, got {nt}")
     return Grid(box=box, nx=nx, T=T, nt=nt)
@@ -149,73 +152,49 @@ def at_level(grid: Grid, entry, n: int):
     return entry[n] if np.ndim(entry) > grid.dim else entry
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Sampled scalar field on a grid.
-
-    ``values`` has the space-time shape (nt+1, *nx), one slice per time
-    level, or the spatial shape (*nx); :attr:`spacetime` tells which.
-    Values must be finite; construction raises :class:`EvaluationError`
-    naming the first offending point otherwise.  Fields are treated as
-    immutable once built.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if vals.shape not in (self.grid.shape_space, self.grid.shape_spacetime):
-            raise ConfigurationError(
-                f"field shape {vals.shape} is neither spatial {self.grid.shape_space} "
-                f"nor space-time {self.grid.shape_spacetime}")
-        if not np.isfinite(vals).all():
-            point = _grid_point(self.grid, np.argwhere(~np.isfinite(vals))[0])
-            raise EvaluationError(f"non-finite field value at point {point}")
-
-    @property
-    def spacetime(self) -> bool:
-        """True when the values vary in time, one slice per time level."""
-        return self.values.ndim > self.grid.dim
-
-
-def sample(fn, grid: Grid) -> Field:
+def sample(fn, grid: Grid) -> np.ndarray:
     """Sample ``fn(x1, ..., xN, t)`` at cell midpoints and all time levels.
 
     ``fn`` must accept numpy coordinate arrays (vectorized evaluation) and
-    is called once per time level.  Non-finite results raise
-    :class:`EvaluationError` naming the first offending point.
+    is called once per time level.
     """
     mesh = grid.meshgrid()
     out = np.empty(grid.shape_spacetime)
     for n, t in enumerate(grid.time_levels()):
         out[n] = np.broadcast_to(fn(*mesh, t), grid.shape_space)
-    return Field(grid, out)
+    return out
 
 
-def sample_initial(fn, grid: Grid) -> Field:
-    """Sample the initial datum ``fn(x1, ..., xN)`` at cell midpoints."""
-    mesh = grid.meshgrid()
-    vals = np.broadcast_to(fn(*mesh), grid.shape_space).copy()
-    return Field(grid, vals)
+def sample_initial(fn, grid: Grid) -> np.ndarray:
+    """Sample ``fn(x1, ..., xN)`` at cell midpoints."""
+    return np.broadcast_to(fn(*grid.meshgrid()), grid.shape_space).copy()
 
 
-def _check_coefficient_shape(grid: Grid, value, name: str):
-    """A coefficient entry (a_ij or omega) as stored: a finite number
-    (constant), or the values of a :class:`Field`, spatial (static in time)
-    or space-time."""
+def check_entry(grid: Grid, value, name: str):
+    """A datum as stored: a finite number as a float, or a finite float64
+    array of the spatial shape (static in time) or the space-time shape.
+
+    Anything else raises :class:`ConfigurationError` naming the datum by
+    its config key (``coefficients.axx``, ``forcing.f``); a non-finite
+    array value raises :class:`EvaluationError` naming the datum and the
+    first offending point.
+    """
     if isinstance(value, numbers.Real):
         if not math.isfinite(value):
-            raise ConfigurationError(f"coefficient {name} is not finite: {value!r}")
+            raise ConfigurationError(f"{name} is not finite: {value!r}")
         return float(value)
     if not isinstance(value, np.ndarray):
-        raise ConfigurationError(f"coefficient {name}: expected a number or an array, "
+        raise ConfigurationError(f"{name}: expected a number or an array, "
                                  f"got {type(value).__name__}")
-    try:
-        return Field(grid, value).values
-    except ConfigurationError as err:
-        raise ConfigurationError(f"coefficient {name}: {err}") from err
+    vals = np.asarray(value, dtype=np.float64)
+    if vals.shape not in (grid.shape_space, grid.shape_spacetime):
+        raise ConfigurationError(
+            f"{name}: shape {vals.shape} is neither spatial {grid.shape_space} "
+            f"nor space-time {grid.shape_spacetime}")
+    if not np.isfinite(vals).all():
+        point = _grid_point(grid, np.argwhere(~np.isfinite(vals))[0])
+        raise EvaluationError(f"{name}: non-finite field value at point {point}")
+    return vals
 
 
 def entry_name(i: int, j: int) -> str:
@@ -238,14 +217,14 @@ class MatrixCoefficient:
         if len(diag) != grid.dim:
             raise ConfigurationError(
                 f"A needs {grid.dim} diagonal entries, got {len(diag)}")
-        self.diag = [_check_coefficient_shape(grid, d, entry_name(k, k))
+        self.diag = [check_entry(grid, d, f"coefficients.{entry_name(k, k)}")
                      for k, d in enumerate(diag)]
         self.off = {}
         for (i, j), value in (off or {}).items():
             if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
                 raise ConfigurationError(f"invalid off-diagonal index pair ({i}, {j})")
             key = (min(i, j), max(i, j))
-            self.off[key] = _check_coefficient_shape(grid, value, entry_name(*key))
+            self.off[key] = check_entry(grid, value, f"coefficients.{entry_name(*key)}")
 
     @classmethod
     def identity(cls, grid: Grid) -> "MatrixCoefficient":
@@ -271,35 +250,37 @@ def _lowest(grid: Grid, values):
 class ProblemSpec:
     """Full problem data: grid, coefficients, forcing, initial state.
 
-    ``omega`` is stored like an entry of A: a number, a spatial array or a
-    space-time array.  ``f`` is a space-time field, ``phi0`` a spatial
-    one.  ``lam`` is the claimed ellipticity constant, ``q`` the
-    integrability exponent of the forcing used by the diagnostics.
+    ``omega``, ``f`` and ``phi0`` are stored like an entry of A and pass
+    :func:`check_entry`: each is a number, a spatial array or a space-time
+    array, except that ``phi0`` may not vary in time.  ``lam`` is the
+    claimed ellipticity constant, ``q`` the integrability exponent of the
+    forcing used by the diagnostics.
 
-    Construction checks the standing hypotheses: the smallest eigenvalue
-    of A reaches lam - 1e-10 at every sample, omega is nonnegative, and q
-    exceeds 1 + N/2 strictly.  One :class:`ConfigurationError` lists
-    every violation with its witness value (at full precision) and, for
-    an array entry, the sample point where it is worst.
+    Construction also checks the standing hypotheses: the smallest
+    eigenvalue of A reaches lam - 1e-10 at every sample, omega is
+    nonnegative, and q exceeds 1 + N/2 strictly.  One
+    :class:`ConfigurationError` lists every violation with its witness
+    value (at full precision) and, for an array entry, the sample point
+    where it is worst.
     """
 
     grid: Grid
     A: MatrixCoefficient
     omega: object
-    f: Field
-    phi0: Field
+    f: object
+    phi0: object
     lam: float = 1.0
     q: float = 4.0
 
     def __post_init__(self):
         if self.A.grid != self.grid:
             raise ConfigurationError("A lives on a different grid")
-        if self.f.grid != self.grid or not self.f.spacetime:
-            raise ConfigurationError("f must be a space-time field on the same grid")
-        if self.phi0.grid != self.grid or self.phi0.spacetime:
-            raise ConfigurationError("phi0 must be a spatial field on the same grid")
-        object.__setattr__(self, "omega",
-                           _check_coefficient_shape(self.grid, self.omega, "omega"))
+        for section, key in (("coefficients", "omega"), ("forcing", "f"), ("forcing", "phi0")):
+            object.__setattr__(self, key, check_entry(self.grid, getattr(self, key),
+                                                      f"{section}.{key}"))
+        if np.ndim(self.phi0) > self.grid.dim:
+            raise ConfigurationError("forcing.phi0 must not vary in time, got the space-time "
+                                     f"shape {self.phi0.shape}")
         N = self.grid.dim
         violations = []
         if not self.lam > 0:

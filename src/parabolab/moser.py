@@ -20,6 +20,7 @@ dimension N is the grid's.
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -125,11 +126,14 @@ def check_ladder(beta0: float, i_max: int) -> None:
 
 
 def ladder(beta0: float, q: float, N: int, i_max: int = 12):
-    """Exponent ladder p_i = (1+beta0) * (q/(q-1)) * chi^i for i = 0..i_max."""
+    """Exponent ladder p_i = (1+beta0) * (q/(q-1)) * chi^i for i = 0..i_max,
+    ending before the first p_i above LADDER_CAP (chi > 1, so every later
+    one is above it too)."""
     check_ladder(beta0, i_max)
     c = chi(N, q)
     base = (1.0 + beta0) * q / (q - 1.0)
-    return [base * c ** i for i in range(int(i_max) + 1)]
+    return list(takewhile(lambda p: p <= LADDER_CAP,
+                          (base * c ** i for i in range(int(i_max) + 1))))
 
 
 def trace(u: np.ndarray, grid: Grid, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
@@ -137,7 +141,7 @@ def trace(u: np.ndarray, grid: Grid, beta0: float, q: float, i_max: int = 12) ->
 
     u holds every time level, the initial one first; the rungs average
     over the later levels and measured_sup = max(e^max u, 1) runs over
-    all.  Rungs with exponent above 512 are dropped (truncation flagged):
+    all.  Rungs with exponent above 512 are not built (truncation flagged):
     beyond that the averaged norm is within floating noise of the ess
     sup.  The extrapolation multiplies the last norm by the geometric
     tail of the final log-ratio, exact for fields whose log-norm decays
@@ -152,9 +156,8 @@ def trace(u: np.ndarray, grid: Grid, beta0: float, q: float, i_max: int = 12) ->
     _check_shape(u, grid)
     N = grid.dim
     c = chi(N, q)
-    exps = ladder(beta0, q, N, i_max)
-    kept = [p for p in exps if p <= LADDER_CAP]
-    truncated = len(kept) < len(exps)
+    kept = ladder(beta0, q, N, i_max)
+    truncated = len(kept) <= i_max
     if not kept:
         raise DomainError(f"every ladder exponent exceeds the cap {LADDER_CAP}")
     r, alpha = kept[0], min(1.0, 0.5 * kept[0])

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from parabolab.errors import DomainError
-from parabolab.fields import Field
+from parabolab.fields import Grid
 from parabolab.reductions import pairwise_sum
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -55,27 +55,28 @@ def log_power_sums(support: np.ndarray, zeros: int, exponents) -> list:
     return out
 
 
-def lq_spacetime(field: Field, ps) -> list:
-    """L^p norms of a spacetime field over Omega_T, one for each p in ps,
-    measure dx dt (weight cellvol * dt per sample).  The field's nonzero
-    samples are read once for all of them.  An identically zero field has
-    norm 0."""
-    if not field.spacetime:
-        raise DomainError("lq_spacetime requires a spacetime field")
+def lq_spacetime(values, grid: Grid, ps) -> list:
+    """L^p norms over Omega_T of data sampled on grid, one for each p in ps,
+    measure dx dt (weight cellvol * dt per sample).  A number or a spatial
+    array is the same at every level, read through a broadcast view: the
+    same samples in the same order as its space-time copy.  The nonzero
+    samples are read once for all p; identically zero data has norm 0."""
+    if np.shape(values) not in ((), grid.shape_space, grid.shape_spacetime):
+        raise DomainError(f"lq_spacetime: shape {np.shape(values)} is not sampled on the grid")
     ps = [float(p) for p in ps]
     for p in ps:
         if not p >= 1.0 or not math.isfinite(p):
             raise DomainError(f"exponent must satisfy 1 <= p < infinity, got {p}")
-    vals = field.values[1:]
-    support = np.log(np.abs(vals[vals != 0.0]))   # zero samples add nothing to a power sum
-    log_weight = math.log(field.grid.cell_volume * field.grid.dt)
+    later = np.broadcast_to(values, grid.shape_spacetime)[1:]
+    support = np.log(np.abs(later[later != 0.0]))   # zero samples add nothing to a power sum
+    log_weight = math.log(grid.cell_volume * grid.dt)
     return [exp_or_inf((log_sum + log_weight) / p)
             for p, log_sum in zip(ps, log_power_sums(support, 0, ps))]
 
 
-def ess_sup(field: Field) -> float:
-    """Maximum of |values| over every sample, the initial slice included."""
-    return float(np.max(np.abs(field.values)))
+def ess_sup(values) -> float:
+    """Maximum of |values| over every sample, the initial level included."""
+    return float(np.max(np.abs(values)))
 
 
 def sup_t_spatial_l1(values: np.ndarray, cell_volume: float) -> float:

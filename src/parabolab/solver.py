@@ -19,7 +19,7 @@ import numpy as np
 
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
-from parabolab.fields import Field, Grid, ProblemSpec, at_level
+from parabolab.fields import Grid, ProblemSpec, at_level
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,11 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class Solution:
-    """Space-time solution with the per-step linear-solver history."""
-    phi: Field
+    """Space-time solution on ``grid`` with the per-step linear-solver
+    history; ``phi`` is the array of every time level, or the number 0.0
+    for a half of :func:`solve_split` that vanishes."""
+    grid: Grid
+    phi: object
     residuals: tuple
     iterations: tuple
 
@@ -189,16 +192,15 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
     g = spec.grid
     cap = 10 * g.num_cells
     phi = np.empty(g.shape_spacetime)
-    phi[0] = spec.phi0.values
+    phi[0] = spec.phi0
     static = spec.static
     residuals = []
     iterations = []
-    fvals = spec.f.values
     dt = g.dt
     for n in range(g.nt):
         if n == 0 or not static:
             step = Stencil.at(spec, n + 1, 1.0 / dt)
-        rhs = phi[n] / dt + fvals[n + 1]
+        rhs = phi[n] / dt + at_level(g, spec.f, n + 1)
         try:
             x, rel, iters = conjugate_gradient(step.apply, rhs, phi[n], opts.tol, cap)
         except SolverError as err:
@@ -207,25 +209,23 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
         phi[n + 1] = x
         residuals.append(rel)
         iterations.append(iters)
-    return Solution(Field(g, phi), tuple(residuals), tuple(iterations))
+    return Solution(g, phi, tuple(residuals), tuple(iterations))
 
 
 def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
     """Split phi = phi1 + phi2: forcing with zero data, data with zero forcing.
 
     Returns (Solution phi1, Solution phi2).  When the initial data or
-    the forcing vanish identically the corresponding half is a zero
-    field produced without linear solves.
+    the forcing vanish identically the corresponding half is the number
+    0.0, produced without linear solves.
     """
     g = spec.grid
-    zero_history = Solution(Field(g, np.zeros(g.shape_spacetime)), (0.0,) * g.nt, (0,) * g.nt)
-    if not np.any(spec.phi0.values):
+    zero_history = Solution(g, 0.0, (0.0,) * g.nt, (0,) * g.nt)
+    if not np.any(spec.phi0):
         return solve_ibvp(spec, opts), zero_history
-    if not np.any(spec.f.values):
+    if not np.any(spec.f):
         return zero_history, solve_ibvp(spec, opts)
-    forced = replace(spec, phi0=Field(g, np.zeros(g.shape_space)))
-    drift = replace(spec, f=Field(g, np.zeros(g.shape_spacetime)))
-    return solve_ibvp(forced, opts), solve_ibvp(drift, opts)
+    return solve_ibvp(replace(spec, phi0=0.0), opts), solve_ibvp(replace(spec, f=0.0), opts)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +238,10 @@ def export_solution(solution: Solution, path: str) -> None:
     Layout: header line `N nx... nt T`, a second header carrying the box
     extents, then one value per line, time-major and row-major per slice.
     """
-    g = solution.phi.grid
+    g = solution.grid
     with open(path, "w") as fh:
         fh.write("# " + " ".join([str(g.dim)] + [str(n) for n in g.nx]
                                  + [str(g.nt), repr(g.T)]) + "\n")
         fh.write("# box " + " ".join(f"{lo!r},{hi!r}" for lo, hi in g.box) + "\n")
-        for level in solution.phi.values:
+        for level in solution.phi:
             fh.write("".join(f"{v:.17g}\n" for v in level.flat))

@@ -17,8 +17,7 @@ from parabolab.cli import run
 from parabolab.config import load_config
 from parabolab.errors import DomainError
 from parabolab.experiments import convergence_orders, diagnose, run_sweep, sweep_checks
-from parabolab.fields import (Field, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample)
+from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample
 from parabolab.moser import chi, exponents, trace
 from parabolab.solver import solve_ibvp, solve_split
 
@@ -74,12 +73,10 @@ def _random_spec(rng, signed_f):
     fv = rng.normal(size=g.shape_spacetime)
     if not signed_f:
         fv = np.abs(fv)
-    f = Field(g, fv)
     pv = rng.normal(size=g.shape_space)
     if not signed_f:
         pv = np.abs(pv)
-    phi0 = Field(g, pv)
-    return ProblemSpec(g, MatrixCoefficient(g, diag), omega, f, phi0, lam, 4.0)
+    return ProblemSpec(g, MatrixCoefficient(g, diag), omega, fv, pv, lam, 4.0)
 
 
 def test_criterion_2_discrete_maximum_principle():
@@ -87,7 +84,7 @@ def test_criterion_2_discrete_maximum_principle():
     worst = 0.0
     for _ in range(50):
         spec = _random_spec(rng, signed_f=False)
-        low = float(np.min(solve_ibvp(spec).phi.values))
+        low = float(np.min(solve_ibvp(spec).phi))
         worst = min(worst, low)
     ok = worst >= -1e-12
     _verdict(2, "50 nonnegative specs stay above -1e-12", ok,
@@ -109,14 +106,13 @@ def _mms_l1_cases():
                 out = out * np.sin(math.pi * x)
             return out
 
-        cases.append(ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, sample(f_fn, g),
-                                 Field(g, np.zeros(g.shape_space))))
+        cases.append(ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, sample(f_fn, g), 0.0))
     return cases
 
 
 def _l1_passes(spec):
     forced, drift = solve_split(spec)
-    return diagnose(forced.phi, drift.phi, spec.phi0, spec.f, spec.q).l1[2]
+    return diagnose(spec, forced.phi, drift.phi).l1[2]
 
 
 def test_criterion_3_l1_estimate_on_corpus():

@@ -133,10 +133,19 @@ F_LINE = "f = sine amplitude=12.0 decay=1.0"
                                                "solver.max_iters"),
                                               ("\na = 1.0", "\na = nan", "axx is not finite: nan"),
                                               ("\na = 1.0", "\naxx = inf",
-                                               "axx is not finite: inf")],
+                                               "axx is not finite: inf"),
+                                              ("T = 0.5", "T = 0.5%", "grid.T"),
+                                              ("T = 0.5", "T = inf", "final time must be "
+                                               "positive and finite, got inf"),
+                                              ("box = 0,1 0,1", "box = 0,1 0,inf",
+                                               "axis 1: box requires finite lo < hi"),
+                                              ("phi0 = sine amplitude=0.3",
+                                               "phi0 = sine amplitude=0.3 decay=1.0",
+                                               "forcing.phi0 must not vary in time")],
                          ids=["T", "tol", "nx", "nx_empty_component", "f_empty", "f_no_value",
                               "f_vector", "f_unknown_parameter", "solver_unknown_key",
-                              "a_nan", "axx_inf"])
+                              "a_nan", "axx_inf", "T_percent", "T_inf", "box_inf",
+                              "phi0_decay"])
 def test_malformed_config_number_is_a_configuration_error(tmp_path, capsys, line, value, key):
     text = open(DEMO).read()
     assert line in text
@@ -229,6 +238,62 @@ def test_bad_ladder_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch
     assert run(argv + ["--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+# each once ran with exit 0: a nan bump centre passed every range test and
+# gave four rows of zeros, and moment_cap = -1 picked alpha = 2^-8
+@pytest.mark.parametrize("edit, key", [({"t0 = 0.13": "t0 = nan"}, "nan"),
+                                       ({"x0 = 0.375,0.375": "x0 = nan,0.375"}, "nan"),
+                                       ({"moment_cap = 10.0": "moment_cap = -1"},
+                                        "sweep.moment_cap"),
+                                       ({"moment_cap = 10.0": "moment_cap = inf"},
+                                        "sweep.moment_cap")],
+                         ids=["t0_nan", "x0_nan", "moment_cap_negative", "moment_cap_inf"])
+def test_bad_sweep_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch, edit, key):
+    monkeypatch.setattr(experiments, "solve_split", _no_work)
+    text = open(SMALL).read()
+    for line, value in edit.items():
+        assert line in text
+        text = text.replace(line, value)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+
+
+# diagnose once solved this with an all-zero forcing: sup |phi| = 0, exit 0
+def test_nan_bump_forcing_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_split", _no_work)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write("[grid]\nbox = 0,1 0,1\nnx = 16,16\nT = 0.5\nnt = 64\n"
+                 "[forcing]\nf = bump eps=0.25 t0=nan\n")
+    assert run(["diagnose", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "nan" in err
+
+
+# i_max = 2000 once raised OverflowError building rungs above the cap
+def test_sweep_with_a_huge_i_max_matches_the_capped_ladder(tmp_path):
+    text = open(SMALL).read()
+    assert "i_max = 12" in text
+    outputs = []
+    for i_max in ("12", "2000"):
+        path = os.path.join(tmp_path, f"i_max_{i_max}.cfg")
+        with open(path, "w") as fh:
+            fh.write(text.replace("i_max = 12", f"i_max = {i_max}"))
+        out = os.path.join(tmp_path, i_max)
+        assert run(["sweep", "--config", path, "--out", out,
+                    "--eps-list", "0.3535533905932738,0.25"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            csv = fh.read()
+        with open(os.path.join(out, "trace.csv")) as fh:
+            truncated = "# truncated = True" in fh.read()
+        outputs.append((csv, truncated))
+    assert outputs[1][0] == outputs[0][0]
+    assert outputs[1][1] and not outputs[0][1]
 
 
 # both once exited 2 naming beta0: the hypotheses were checked only inside each solve

@@ -23,7 +23,7 @@ def test_demo_config_loads():
     g = bundle.grid
     assert g.dim == 2 and g.nx == (32, 32) and g.nt == 128
     assert bundle.spec.omega == 0.5
-    assert bundle.spec.f.spacetime and not bundle.spec.phi0.spacetime
+    assert bundle.spec.f.shape == g.shape_spacetime and bundle.spec.phi0.shape == g.shape_space
     assert bundle.sweep is None
     assert bundle.solve_options.tol == 1e-10
 
@@ -70,8 +70,7 @@ nt = 4
 f = 2.5
 """)
     bundle = load_config(path)
-    assert np.all(bundle.spec.f.values == 2.5)
-    assert np.all(bundle.spec.phi0.values == 0.0)
+    assert bundle.spec.f == 2.5 and bundle.spec.phi0 == 0.0
     assert bundle.spec.q == 4.0 and bundle.spec.lam == 1.0
 
 
@@ -114,13 +113,38 @@ lambda = 0.01
         np.testing.assert_allclose(axx[n], profile * np.exp(-4.0 * t), rtol=1e-14, atol=0)
 
 
+def test_every_datum_follows_one_storage_rule(tmp_path):
+    # numbers stay numbers, radial and steady sines are spatial, decaying
+    # sines and bumps vary in time, for f as for a coefficient
+    body = ("[grid]\nbox = 0,1\nnx = 16\nT = 0.5\nnt = 40\n"
+            "[coefficients]\nomega = {omega}\n[forcing]\nf = {f}\n")
+    forms = {"constant value=2.0": (), "zero": (), "3.5": (),
+             "sine amplitude=2.0": (16,), "radial amplitude=2.0 exponent=2.0": (16,),
+             "sine amplitude=2.0 decay=1.0": (41, 16), "bump eps=0.25 t0=0.25": (41, 16)}
+    for text, shape in forms.items():
+        for key in ("omega", "f"):
+            values = {"omega": "0.0", "f": "0.0", key: text}
+            datum = getattr(load_config(_write(tmp_path, body.format(**values))).spec, key)
+            assert np.shape(datum) == shape, (key, text)
+            if not shape:
+                assert isinstance(datum, float)
+
+
+# a decaying phi0 once loaded as its t = 0 slice, the decay ignored
+def test_time_varying_initial_data_is_refused(tmp_path):
+    path = _write(tmp_path, "[grid]\nbox = 0,1\nnx = 8\nT = 0.5\nnt = 4\n"
+                            "[forcing]\nphi0 = sine amplitude=0.3 decay=1.0\n")
+    with pytest.raises(ConfigurationError, match=r"^forcing\.phi0 must not vary in time"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("mutation", [
     ("missing_file", None),
     ("no_grid", "[coefficients]\na = 1.0\n"),
     ("no_eps", "[grid]\nbox = 0,1\nnx = 8\nT = 0.5\nnt = 4\n[sweep]\ngamma = 2\n"),
     ("bad_box", "[grid]\nbox = 0\nnx = 8\nT = 0.5\nnt = 4\n"),
-    ("bump_phi0", "[grid]\nbox = 0,1\nnx = 8\nT = 0.5\nnt = 4\n"
-                  "[forcing]\nphi0 = bump eps=0.25\n"),
+    ("bump_phi0", "[grid]\nbox = 0,1\nnx = 16\nT = 0.5\nnt = 40\n"
+                  "[forcing]\nphi0 = bump eps=0.25 t0=0.25\n"),
     ("unknown_fn", "[grid]\nbox = 0,1\nnx = 8\nT = 0.5\nnt = 4\n"
                    "[forcing]\nf = wavelet scale=2\n"),
 ])

@@ -13,13 +13,13 @@ import parabolab.experiments as experiments
 from parabolab.config import load_config
 from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
 from parabolab.experiments import (BumpFamily, Diagnosis, SweepResult,
-                                   SweepRow, _svg_plot, _sweep_csv, _sweep_text, bump,
+                                   SweepRow, _svg_plot, _sweep_csv, _sweep_text, bump, diagnose,
                                    diagnosis_checks, fit_log_law, run_sweep, sweep_checks)
-from parabolab.fields import (Field, MatrixCoefficient,
-                              ProblemSpec, make_grid)
+from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid
 from parabolab.moser import LadderRung, MoserTrace
 from parabolab.norms import lq_spacetime
 from parabolab.reductions import pairwise_sum
+from parabolab.solver import solve_split
 
 
 def _grid_1d():
@@ -31,12 +31,12 @@ def test_bump_peak_value_at_exact_center_sample():
     g = _grid_1d()
     eps, gamma = 0.2, 2.0
     f = bump(eps, gamma, (0.5, 0.05), g)
-    peak = f.values[50, 12]
+    peak = f[50, 12]
     assert math.isclose(peak, eps ** -gamma * math.exp(-1.0), rel_tol=1e-12)
-    assert f.values[50].argmax() == 12
+    assert f[50].argmax() == 12
     # compact support: everything beyond |x - 0.5| >= eps vanishes
-    assert np.all(f.values[:, :7] == 0.0) and np.all(f.values[:, 18:] == 0.0)
-    assert np.all(f.values[0] == 0.0)
+    assert np.all(f[:, :7] == 0.0) and np.all(f[:, 18:] == 0.0)
+    assert np.all(f[0] == 0.0)
 
 
 def test_bump_resolution_guards_prescribe_finer_grids():
@@ -51,7 +51,7 @@ def test_bump_resolution_guards_prescribe_finer_grids():
     # equality passes: eps exactly 4h with a wide enough time box
     g2 = make_grid([(0.0, 1.0)], [25], 0.2, 50)   # dt = 0.004, 4 dt = 0.016
     f = bump(0.16, 2.0, (0.5, 0.1), g2)
-    assert np.max(f.values) > 0.0
+    assert np.max(f) > 0.0
 
 
 def test_bump_demands_support_inside_the_open_cylinder():
@@ -62,6 +62,17 @@ def test_bump_demands_support_inside_the_open_cylinder():
         bump(0.2, 2.0, (0.5, 0.03), g)     # starts before t = 0
     with pytest.raises(ConfigurationError):
         bump(0.2, 2.0, (0.5,), g)          # center needs N+1 entries
+
+
+# a nan centre or eps once passed every range test (each comparison with
+# nan is false) and sampled an all-zero bump; sweep_small.cfg with
+# t0 = nan printed four rows of zeros and exited 0
+@pytest.mark.parametrize("eps,center", [(0.2, (0.5, math.nan)), (0.2, (math.nan, 0.05)),
+                                        (0.2, (0.5, math.inf)), (math.nan, (0.5, 0.05)),
+                                        (math.inf, (0.5, 0.05))])
+def test_bump_refuses_non_finite_eps_and_center(eps, center):
+    with pytest.raises(ConfigurationError, match=r"(nan|inf)"):
+        bump(eps, 2.0, center, _grid_1d())
 
 
 @lru_cache(maxsize=None)
@@ -83,14 +94,14 @@ def test_bump_norms_obey_parabolic_scaling():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
     for p in (2.0, 3.0):
         want = 0.25 ** ((2 + 2) / p - 2.0) * profile_norm(p, 2)
-        got, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), [p])
+        got, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), g, [p])
         assert abs(got - want) / want < 0.05
 
 
 def test_bump_q_norm_slope_tracks_the_scaling_exponent():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
-    n1, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), [4.0])
-    n2, = lq_spacetime(bump(0.125, 2.0, (0.5, 0.5, 0.15), g), [4.0])
+    n1, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), g, [4.0])
+    n2, = lq_spacetime(bump(0.125, 2.0, (0.5, 0.5, 0.15), g), g, [4.0])
     slope = math.log(n2 / n1) / math.log(0.5)
     assert abs(slope - ((2 + 2) / 4.0 - 2.0)) < 0.1   # -1 for N=2, q=4
 
@@ -100,7 +111,7 @@ def test_family_applies_amplitude():
     fam = BumpFamily((0.5,), 0.05, 2.0, amplitude=24.0)
     plain = bump(0.2, 2.0, (0.5, 0.05), g)
     scaled = fam.field(0.2, g)
-    assert np.allclose(scaled.values, 24.0 * plain.values)
+    assert np.allclose(scaled, 24.0 * plain)
 
 
 def test_fit_recovers_an_exact_line():
@@ -128,10 +139,22 @@ def test_fit_refuses_degenerate_abscissas():
 
 def _small_template():
     g = make_grid([(0.0, 0.75), (0.0, 0.75)], [16, 16], 0.26, 52)
-    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0,
-                       Field(g, np.zeros(g.shape_spacetime)), Field(g, np.zeros(g.shape_space)),
-                       1.0, 4.0)
+    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, 0.0, 1.0, 4.0)
     return g, spec
+
+
+# with f = zero the forced half is the number 0.0, which diagnose --check
+# must read as a zero space-time array
+def test_diagnose_takes_a_vanishing_forced_half():
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
+    X, Y = g.meshgrid()
+    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, X * (1.0 - X) * Y)
+    forced, drift = solve_split(spec)
+    assert forced.phi == 0.0
+    d = diagnose(spec, forced.phi, drift.phi)
+    assert d.phi_sup == d.drift_sup == float(np.max(np.abs(drift.phi)))
+    assert d.f_norm_crit == d.f_norm_q == 0.0 and d.scale == 1.0
+    assert d.l1 == (0.0, 0.0, True) and d.trace.measured_sup == 1.0
 
 
 def test_run_sweep_rejects_an_empty_eps_list():
@@ -162,10 +185,10 @@ def test_run_sweep_skips_a_failed_solve_for_every_thread_count(monkeypatch):
     _, spec = _small_template()
     fam = BumpFamily((0.375, 0.375), 0.13, 2.0)
     real = experiments.solve_split
-    wide_peak = np.max(fam.field(2.0 ** -1.5, spec.grid).values)
+    wide_peak = np.max(fam.field(2.0 ** -1.5, spec.grid))
 
     def failing(spec, opts=None):
-        if np.max(spec.f.values) > wide_peak:   # the narrower bump
+        if np.max(spec.f) > wide_peak:   # the narrower bump
             raise SolverError("stalled", residual=1.0)
         return real(spec, opts=opts)
 

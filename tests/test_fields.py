@@ -1,4 +1,4 @@
-"""Grid, field, coefficient, and hypothesis-validation tests."""
+"""Grid, data-entry, coefficient, and hypothesis-validation tests."""
 
 import ast
 import math
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from parabolab.errors import ConfigurationError, EvaluationError
-from parabolab.fields import (Field, MatrixCoefficient, ProblemSpec, at_level, make_grid, sample,
-                              sample_initial)
+from parabolab.fields import (MatrixCoefficient, ProblemSpec, at_level, check_entry, make_grid,
+                              sample, sample_initial)
 
 
 def test_grid_geometry():
@@ -39,6 +39,11 @@ def test_midpoints_are_cell_centers():
     ([(1, 1)], [4], 1.0, 4),
     ([(0, 1)] * 4, [4] * 4, 1.0, 4),
     ([(0, 1), (0, 1)], [4], 1.0, 4),
+    # an infinite extent once solved: dt = inf made every step a steady solve
+    ([(0, 1)], [8], math.inf, 4),
+    ([(0, math.inf)], [8], 1.0, 4),
+    ([(-math.inf, 1)], [8], 1.0, 4),
+    ([(0, 1)], [8], math.nan, 4),
 ])
 def test_bad_grids_rejected(box, nx, T, nt):
     with pytest.raises(ConfigurationError):
@@ -48,14 +53,15 @@ def test_bad_grids_rejected(box, nx, T, nt):
 def test_field_shape_and_finiteness():
     g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
     with pytest.raises(ConfigurationError):
-        Field(g, np.zeros((5,)))
+        check_entry(g, np.zeros((5,)), "f")
     bad = np.zeros((3, 4))
     bad[1, 2] = np.inf
     with pytest.raises(EvaluationError):
-        Field(g, bad)
-    f = Field(g, np.zeros(g.shape_space))
-    assert f.values.shape == (4,) and not f.spacetime
-    assert Field(g, np.zeros((3, 4))).spacetime
+        check_entry(g, bad, "f")
+    spatial = check_entry(g, np.zeros(g.shape_space, dtype=int), "f")
+    assert spatial.shape == (4,) and spatial.dtype == np.float64
+    assert check_entry(g, np.zeros((3, 4)), "f").shape == g.shape_spacetime
+    assert check_entry(g, 2, "f") == 2.0 and isinstance(check_entry(g, 2, "f"), float)
 
 
 def test_non_finite_value_names_its_grid_point():
@@ -64,7 +70,7 @@ def test_non_finite_value_names_its_grid_point():
     bad = np.zeros((3, 4))
     bad[1, 2] = np.inf
     with pytest.raises(EvaluationError, match=r"at point \(0\.625, 0\.5\)$"):
-        Field(g, bad)
+        check_entry(g, bad, "f")
 
 
 def test_sample_matches_manual_evaluation():
@@ -73,10 +79,10 @@ def test_sample_matches_manual_evaluation():
     f = sample(fn, g)
     X, Y = g.meshgrid()
     for k, t in enumerate(g.time_levels()):
-        assert np.allclose(f.values[k], np.sin(math.pi * X) * np.cos(Y) * math.exp(-t))
+        assert np.allclose(f[k], np.sin(math.pi * X) * np.cos(Y) * math.exp(-t))
     f0 = sample_initial(lambda x, y: x + y, g)
-    assert f.spacetime and not f0.spacetime
-    assert np.allclose(f0.values, X + Y)
+    assert f.shape == g.shape_spacetime and f0.shape == g.shape_space
+    assert np.allclose(f0, X + Y)
 
 
 def test_matrix_coefficient_components():
@@ -98,21 +104,21 @@ def test_problem_spec_grid_mismatch():
     g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
     g2 = make_grid([(0.0, 1.0)], [5], 1.0, 2)
     A = MatrixCoefficient.identity(g)
-    f = Field(g, np.zeros(g.shape_spacetime))
-    phi0 = Field(g, np.zeros(g.shape_space))
+    f = np.zeros(g.shape_spacetime)
+    phi0 = np.zeros(g.shape_space)
     with pytest.raises(ConfigurationError):
         ProblemSpec(g2, A, 0.0, f, phi0)
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(g, A, 0.0, Field(g2, np.zeros(g2.shape_spacetime)), phi0)
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(g, A, 0.0, f, Field(g, np.zeros(g.shape_spacetime)))
+    with pytest.raises(ConfigurationError, match=r"^forcing\.f: shape"):
+        ProblemSpec(g, A, 0.0, np.zeros(g2.shape_spacetime), phi0)
+    with pytest.raises(ConfigurationError, match=r"^forcing\.phi0 must not vary in time"):
+        ProblemSpec(g, A, 0.0, f, np.zeros(g.shape_spacetime))
 
 
 def test_omega_at_all_storage_kinds():
     g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
     A = MatrixCoefficient.identity(g)
-    f = Field(g, np.zeros(g.shape_spacetime))
-    phi0 = Field(g, np.zeros(g.shape_space))
+    f = np.zeros(g.shape_spacetime)
+    phi0 = np.zeros(g.shape_space)
     s = ProblemSpec(g, A, 2.0, f, phi0)
     assert at_level(g, s.omega, 1) == 2.0 and s.static
     s = ProblemSpec(g, A, np.arange(4.0), f, phi0)
@@ -127,8 +133,7 @@ def test_omega_at_all_storage_kinds():
 
 def _spec(g, A=None, omega=0.0, lam=1.0, q=4.0):
     A = A if A is not None else MatrixCoefficient.identity(g)
-    return ProblemSpec(g, A, omega, Field(g, np.zeros(g.shape_spacetime)),
-                       Field(g, np.zeros(g.shape_space)), lam, q)
+    return ProblemSpec(g, A, omega, 0.0, 0.0, lam, q)
 
 
 def _violations(g, **kwargs):
@@ -207,21 +212,38 @@ def test_validate_flags_negative_omega_with_location():
 # nan < lambda is false, so CG met the nan instead
 def test_coefficient_entries_are_finite_numbers_or_arrays():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
-    with pytest.raises(ConfigurationError, match="^coefficient axx is not finite: nan$"):
+    with pytest.raises(ConfigurationError, match=r"^coefficients\.axx is not finite: nan$"):
         MatrixCoefficient(g, [math.nan, 1.0])
-    with pytest.raises(ConfigurationError, match="^coefficient axy is not finite: inf$"):
+    with pytest.raises(ConfigurationError, match=r"^coefficients\.axy is not finite: inf$"):
         MatrixCoefficient(g, [1.0, 1.0], {(0, 1): math.inf})
-    with pytest.raises(ConfigurationError, match="^coefficient omega is not finite: nan$"):
+    with pytest.raises(ConfigurationError, match=r"^coefficients\.omega is not finite: nan$"):
         _spec(g, omega=float("nan"))
     bad = np.ones(g.shape_space)
     bad[1, 2] = np.inf
-    with pytest.raises(ConfigurationError, match=r"^coefficient omega: non-finite field value "
+    with pytest.raises(ConfigurationError, match=r"^coefficients\.omega: non-finite field value "
                                                  r"at point \(0\.375, 0\.625\)$"):
         _spec(g, omega=bad)
-    # omega is stored like an entry of A, so a Field is refused
-    with pytest.raises(ConfigurationError, match="^coefficient omega: expected a number or an "
-                                                 "array, got Field$"):
-        _spec(g, omega=Field(g, np.zeros(g.shape_space)))
+    with pytest.raises(ConfigurationError, match=r"^coefficients\.omega: expected a number or an "
+                                                 "array, got list$"):
+        _spec(g, omega=[0.0] * 4)
+
+
+def test_forcing_and_data_pass_the_entry_check():
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    A = MatrixCoefficient.identity(g)
+    with pytest.raises(ConfigurationError, match=r"^forcing\.f is not finite: nan$"):
+        ProblemSpec(g, A, 0.0, math.nan, 0.0)
+    bad = np.zeros(g.shape_space)
+    bad[1, 2] = -np.inf
+    with pytest.raises(EvaluationError, match=r"^forcing\.phi0: non-finite field value "
+                                              r"at point \(0\.375, 0\.625\)$"):
+        ProblemSpec(g, A, 0.0, 0.0, bad)
+    with pytest.raises(ConfigurationError, match=r"^forcing\.f: expected a number or an array"):
+        ProblemSpec(g, A, 0.0, None, 0.0)
+    # a number or a spatial array is the same at every level
+    spec = ProblemSpec(g, A, 0.0, 3, np.ones(g.shape_space))
+    assert spec.f == 3.0 and at_level(g, spec.f, 2) == 3.0
+    assert at_level(g, spec.phi0, 1).shape == g.shape_space
 
 
 def test_validate_critical_q_is_excluded():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from parabolab.errors import (ConsistencyError, DomainError, RangeError)
-from parabolab.fields import Field, MatrixCoefficient, ProblemSpec, make_grid, sample
+from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample
 from parabolab.experiments import diagnose
 from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
                              exp_moment, exponents, l1_check, ladder, trace, trace_to_csv)
@@ -19,7 +19,7 @@ from parabolab.solver import solve_split
 
 
 def _const(g, c, shape=None):
-    return Field(g, np.full(shape or g.shape_spacetime, float(c)))
+    return np.full(shape or g.shape_spacetime, float(c))
 
 
 def _grid():
@@ -34,15 +34,15 @@ def _log_const(g, c):
 def test_normalize_uses_critical_norm_floored_at_one():
     g = _grid()
     phi = _const(g, 3.0)
-    zeros = (Field(g, np.zeros(g.shape_spacetime)), Field(g, np.zeros(g.shape_space)))
 
-    def diagnosis(f):
-        return diagnose(phi, *zeros, f, 4.0)
+    def diagnosis(f, phi1=phi):
+        spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, f, 0.0)
+        return diagnose(spec, phi1, 0.0)
 
     # constant forcing c has |f|_2 = c sqrt(|O_T|) = c / sqrt(2) here
     big = _const(g, 10.0)
     d = diagnosis(big)
-    assert math.isclose(d.scale, lq_spacetime(big, [2.0])[0], rel_tol=1e-13)
+    assert math.isclose(d.scale, lq_spacetime(big, g, [2.0])[0], rel_tol=1e-13)
     assert d.f_norm_crit == d.scale
     # u = phi/scale: its measured sup is e^(3/scale), and |Omega| = 1;
     # the L^1 check's right side is |f|_1/scale = 10 |O_T| / scale
@@ -53,9 +53,10 @@ def test_normalize_uses_critical_norm_floored_at_one():
     d = diagnosis(small)
     assert d.scale == 1.0
     assert d.trace.measured_sup == math.exp(3.0)
+    # a forced part sampled on another grid fails the chain's shape check
     other = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 5)
-    with pytest.raises(DomainError, match="share one grid"):
-        diagnosis(_const(other, 10.0))
+    with pytest.raises(DomainError, match="u must be sampled on the space-time grid"):
+        diagnosis(big, _const(other, 3.0))
 
 
 def _w_values(u):
@@ -66,49 +67,48 @@ def _w_values(u):
 
 def test_exp_change_constants_and_overflow():
     g = _grid()
-    assert all(x == 1.0 for x in _w_values(_const(g, 0.0).values))
+    assert all(x == 1.0 for x in _w_values(_const(g, 0.0)))
     assert np.allclose(_w_values(_log_const(g, 2.0)), 2.0)
     # v = e^u is the moment integrand at rate 1, alpha = 1/2 when N = 2
-    v = exp_moment(_const(g, -5.0).values, g, [0.5])[0.5] / g.spacetime_volume
+    v = exp_moment(_const(g, -5.0), g, [0.5])[0.5] / g.spacetime_volume
     assert np.allclose(v, math.exp(-5.0))
-    assert all(x == 1.0 for x in _w_values(_const(g, -5.0).values))   # w clips below 1
+    assert all(x == 1.0 for x in _w_values(_const(g, -5.0)))   # w clips below 1
     # e^701 is a double; e^710 is not, and reads inf
-    assert _w_values(_const(g, 701.0).values)[-1] == math.exp(701.0)
-    assert _w_values(_const(g, 710.0).values)[-1] == math.inf
+    assert _w_values(_const(g, 701.0))[-1] == math.exp(701.0)
+    assert _w_values(_const(g, 710.0))[-1] == math.inf
 
 
 def test_exp_moment_of_constants():
     g = _grid()   # space-time measure 0.5
-    assert math.isclose(exp_moment(_const(g, 0.0).values, g, [1.0])[1.0], 0.5, rel_tol=1e-13)
+    assert math.isclose(exp_moment(_const(g, 0.0), g, [1.0])[1.0], 0.5, rel_tol=1e-13)
     expected = math.exp(1.0 * (1.0 + 2.0 / 2.0) * 0.3) * 0.5
-    assert math.isclose(exp_moment(_const(g, 0.3).values, g, [1.0])[1.0], expected,
+    assert math.isclose(exp_moment(_const(g, 0.3), g, [1.0])[1.0], expected,
                         rel_tol=1e-13)
     # exp(1200) * 0.5 overflows a double: the moment reads inf
-    assert exp_moment(_const(g, 300.0).values, g, [2.0])[2.0] == math.inf
+    assert exp_moment(_const(g, 300.0), g, [2.0])[2.0] == math.inf
     with pytest.raises(DomainError):
-        exp_moment(_const(g, 0.0).values, g, [0.0])
+        exp_moment(_const(g, 0.0), g, [0.0])
 
 
 def test_l1_check_on_a_real_solution():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [16, 16], 0.4, 16)
     f = sample(lambda x, y, t: 4.0 * np.sin(math.pi * x) * np.sin(math.pi * y)
                * math.exp(-t), g)
-    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.25, f,
-                       Field(g, np.zeros(g.shape_space)))
+    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.25, f, 0.0)
     forced, _ = solve_split(spec)
-    f_norm_1, f_norm_crit = lq_spacetime(f, (1.0, 2.0))
+    f_norm_1, f_norm_crit = lq_spacetime(f, g, (1.0, 2.0))
     scale = max(f_norm_crit, 1.0)
-    lhs, rhs, passed = l1_check(forced.phi.values / scale, g, f_norm_1 / scale)
+    lhs, rhs, passed = l1_check(forced.phi / scale, g, f_norm_1 / scale)
     assert passed
     assert lhs < rhs   # real margin, not just slack
 
 
 def test_l1_check_rejects_fabricated_state():
     g = _grid()
-    lhs, rhs, passed = l1_check(_const(g, 50.0).values, g, 0.0)
+    lhs, rhs, passed = l1_check(_const(g, 50.0), g, 0.0)
     assert not passed and lhs > rhs
     with pytest.raises(DomainError):
-        l1_check(_const(g, 50.0).values[1:], g, 0.0)
+        l1_check(_const(g, 50.0)[1:], g, 0.0)
     # the chain takes N from the grid and refuses arrays of another shape:
     # once, N = u.ndim - 1 made exp_moment divide by zero on a 1-D array
     # and return a moment on a 5-D one
@@ -188,6 +188,18 @@ def test_trace_flags_ladder_truncation():
     assert len(t.ladder) < 31
 
 
+# i_max = 2000 once raised OverflowError at chi ** i, building rungs the
+# cap then dropped; rungs above the cap are no longer built
+def test_ladder_stops_at_the_cap():
+    capped = ladder(1.0, 4.0, 2, i_max=2000)
+    assert capped == ladder(1.0, 4.0, 2, i_max=12) and len(capped) == 13
+    assert capped[-1] <= 512.0 < capped[-1] * chi(2, 4.0)
+    g = _grid()
+    t = trace(_log_const(g, 1.5), g, 1.0, 4.0, i_max=2000)
+    assert t.truncated and [r.exponent for r in t.ladder] == capped
+    assert not trace(_log_const(g, 1.5), g, 1.0, 4.0, i_max=12).truncated
+
+
 def test_trace_csv_has_rung_rows_and_footer():
     g = _grid()
     text = trace_to_csv(trace(_log_const(g, 2.0), g, 1.0, 4.0, i_max=4))
@@ -210,7 +222,7 @@ def test_interpolation_check_constant_equality_and_spike():
 
 
 def _moment_table(u):
-    return exp_moment(u.values, u.grid, ALPHA_CANDIDATES)
+    return exp_moment(u, _grid(), ALPHA_CANDIDATES)
 
 
 def test_choose_alpha_prefers_largest_admissible_power_of_two():
@@ -264,9 +276,9 @@ def test_assemble_bound_zero_forcing_paths():
 def test_assemble_bound_populates_exponents():
     g = _grid()
     rng = np.random.default_rng(6)
-    phi = Field(g, rng.normal(size=g.shape_spacetime))
+    phi = rng.normal(size=g.shape_spacetime)
     f = _const(g, 2.0)
-    rep = assemble_bound(ess_sup(phi), 0.0, *lq_spacetime(f, (2.0, 4.0)),
+    rep = assemble_bound(ess_sup(phi), 0.0, *lq_spacetime(f, g, (2.0, 4.0)),
                          4.0, 2, beta0=1.0, alpha=1.0)
     assert rep.alpha0 == 1.5 and abs(rep.r - 8.0 / 3.0) < 1e-14
     assert rep.final_exponent == 5.0

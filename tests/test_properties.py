@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from parabolab.experiments import Diagnosis, diagnose
-from parabolab.fields import (Field, MatrixCoefficient, ProblemSpec,
-                              make_grid)
+from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid
 from parabolab.moser import ALPHA_CANDIDATES, exp_moment, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
 from parabolab.solver import Stencil, solve_ibvp, solve_split
@@ -71,8 +70,7 @@ def problems(draw):
            for j in range(k + 1, len(nx)) if draw(st.booleans())}
     A = MatrixCoefficient(g, [_coefficient(draw, shape, 0.5, 2.0) for _ in nx], off)
     return ProblemSpec(g, A, _coefficient(draw, shape, 0.0, 2.0),
-                       Field(g, draw(_unit_arrays(g.shape_spacetime))),
-                       Field(g, draw(_unit_arrays(shape))), lam=0.05)
+                       draw(_unit_arrays(g.shape_spacetime)), draw(_unit_arrays(shape)), lam=0.05)
 
 
 # u.Mv against v.Mu relative to |u| |Mv|, the Cauchy-Schwarz bound of
@@ -96,16 +94,14 @@ def _assert_close(parts, whole):
 @given(problems())
 def test_split_parts_sum_to_the_full_solution(spec):
     forced, drift = solve_split(spec)
-    _assert_close(forced.phi.values + drift.phi.values, solve_ibvp(spec).phi.values)
+    _assert_close(forced.phi + drift.phi, solve_ibvp(spec).phi)
 
 
 @given(problems(), st.data())
 def test_solutions_superpose_in_the_forcing(spec, data):
     g = spec.grid
-    f1, f2 = spec.f.values, data.draw(_unit_arrays(g.shape_spacetime))
-    phi1, phi2, phi12 = (solve_ibvp(replace(spec, f=Field(g, f),
-                                            phi0=Field(g, np.zeros(g.shape_space)))).phi.values
-                         for f in (f1, f2, f1 + f2))
+    f1, f2 = spec.f, data.draw(_unit_arrays(g.shape_spacetime))
+    phi1, phi2, phi12 = (solve_ibvp(replace(spec, f=f, phi0=0.0)).phi for f in (f1, f2, f1 + f2))
     _assert_close(phi1 + phi2, phi12)
 
 
@@ -124,10 +120,9 @@ def test_power_sums_match_direct_sums_with_zeros_present(x, exponents):
            st.just(0.0), st.floats(1e-3, 1e30), st.floats(-1e30, -1e-3))),
        st.lists(st.floats(1.0, 40.0), min_size=1, max_size=5))
 def test_lq_norms_match_single_calls_signs_and_direct_sums(values, ps):
-    f = Field(GRID, values)
-    norms = lq_spacetime(f, ps)
-    assert norms == [lq_spacetime(f, [p])[0] for p in ps]
-    assert norms == lq_spacetime(Field(GRID, -values), ps)
+    norms = lq_spacetime(values, GRID, ps)
+    assert norms == [lq_spacetime(values, GRID, [p])[0] for p in ps]
+    assert norms == lq_spacetime(-values, GRID, ps)
     for p, norm in zip(ps, norms):
         with np.errstate(over="ignore"):
             total = float(np.sum(np.abs(values[1:]) ** p))
@@ -136,14 +131,14 @@ def test_lq_norms_match_single_calls_signs_and_direct_sums(values, ps):
             assert math.isclose(norm, direct, rel_tol=1e-12)
 
 
-def _two_sign_chain(phi1, phi2, phi0, f, q, beta0=1.0, i_max=12):
+def _two_sign_chain(spec, phi1, phi2, beta0=1.0, i_max=12):
     """The chain as it ran before the skip: always on u and on -u, with one
     norm call per exponent of f."""
-    grid = f.grid
-    f_norm_1, f_norm_crit, f_norm_q = (lq_spacetime(f, [p])[0]
+    grid, q = spec.grid, spec.q
+    f_norm_1, f_norm_crit, f_norm_q = (lq_spacetime(spec.f, grid, [p])[0]
                                        for p in (1.0, 1.0 + grid.dim / 2.0, q))
     scale = max(f_norm_crit, 1.0)
-    u = phi1.values / scale
+    u = phi1 / scale
     best = None
     moments = dict.fromkeys(ALPHA_CANDIDATES, 0.0)
     for signed in (u, -u):
@@ -152,18 +147,17 @@ def _two_sign_chain(phi1, phi2, phi0, f, q, beta0=1.0, i_max=12):
             best = tr
         for a, m in exp_moment(signed, grid, ALPHA_CANDIDATES).items():
             moments[a] = max(moments[a], m)
-    phi_sup = float(np.max(np.abs(phi1.values + phi2.values)))
-    return Diagnosis(phi_sup, ess_sup(phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
+    phi_sup = float(np.max(np.abs(phi1 + phi2)))
+    return Diagnosis(phi_sup, ess_sup(spec.phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
                      l1_check(u, grid, f_norm_1 / scale), best, moments)
 
 
 def _chains_agree(phi1, drift, forcing):
     phi1[0] = 0.0
-    fields = (Field(GRID, phi1), Field(GRID, drift),
-              Field(GRID, drift[0]), Field(GRID, forcing))
-    d = diagnose(*fields, 4.0)
+    spec = ProblemSpec(GRID, MatrixCoefficient.identity(GRID), 0.0, forcing, drift[0], q=4.0)
+    d = diagnose(spec, phi1, drift)
     assert d.scale == 1.0
-    assert d == _two_sign_chain(*fields, 4.0)
+    assert d == _two_sign_chain(spec, phi1, drift)
 
 
 SIGNED = arrays(np.float64, SHAPE, elements=st.floats(-1.0, 1.0))

@@ -8,18 +8,14 @@ import pytest
 
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
-from parabolab.fields import (Field, MatrixCoefficient,
-                              ProblemSpec, make_grid, sample_initial)
+from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample_initial
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, Stencil, export_solution, solve_ibvp, solve_split
 
 
-def _heat_spec(g, f=None, phi0=None, omega=0.0, diag=None):
+def _heat_spec(g, f=0.0, phi0=0.0, omega=0.0, diag=None):
     A = MatrixCoefficient.identity(g) if diag is None else MatrixCoefficient(g, diag)
-    return ProblemSpec(g, A,
-                       omega,
-                       f if f is not None else Field(g, np.zeros(g.shape_spacetime)),
-                       phi0 if phi0 is not None else Field(g, np.zeros(g.shape_space)))
+    return ProblemSpec(g, A, omega, f, phi0)
 
 
 def test_step_reproduces_discrete_eigenmode_decay():
@@ -31,14 +27,14 @@ def test_step_reproduces_discrete_eigenmode_decay():
     mu = (2.0 - 2.0 * math.cos(math.pi * h)) / h ** 2
     phi0 = sample_initial(lambda x: np.sin(math.pi * x), g)
     phi = solve_ibvp(_heat_spec(g, phi0=phi0)).phi
-    expected = phi0.values / (1.0 + dt * mu) ** 3
-    assert np.max(np.abs(phi.values[3] - expected)) < 1e-12
+    expected = phi0 / (1.0 + dt * mu) ** 3
+    assert np.max(np.abs(phi[3] - expected)) < 1e-12
 
 
 def test_zero_problem_stays_zero_without_iterations():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 6)
     sol = solve_ibvp(_heat_spec(g))
-    assert np.all(sol.phi.values == 0.0)
+    assert np.all(sol.phi == 0.0)
     assert sol.total_iterations == 0
     assert max(sol.residuals) == 0.0
 
@@ -46,14 +42,14 @@ def test_zero_problem_stays_zero_without_iterations():
 def test_superposition_of_forcings():
     rng = np.random.default_rng(21)
     g = make_grid([(0.0, 1.0), (0.0, 2.0)], [10, 12], 0.4, 8)
-    f1 = Field(g, rng.normal(size=g.shape_spacetime))
-    f2 = Field(g, rng.normal(size=g.shape_spacetime))
-    both = Field(g, f1.values + f2.values)
+    f1 = rng.normal(size=g.shape_spacetime)
+    f2 = rng.normal(size=g.shape_spacetime)
+    both = f1 + f2
     omega = rng.uniform(0.0, 2.0, g.shape_space)
     diag = [rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]
-    a = solve_ibvp(_heat_spec(g, f=f1, omega=omega, diag=diag)).phi.values
-    b = solve_ibvp(_heat_spec(g, f=f2, omega=omega, diag=diag)).phi.values
-    c = solve_ibvp(_heat_spec(g, f=both, omega=omega, diag=diag)).phi.values
+    a = solve_ibvp(_heat_spec(g, f=f1, omega=omega, diag=diag)).phi
+    b = solve_ibvp(_heat_spec(g, f=f2, omega=omega, diag=diag)).phi
+    c = solve_ibvp(_heat_spec(g, f=both, omega=omega, diag=diag)).phi
     scale = np.max(np.abs(c)) + 1.0
     assert np.max(np.abs(a + b - c)) < 1e-8 * scale
 
@@ -61,12 +57,12 @@ def test_superposition_of_forcings():
 def test_split_parts_sum_to_full_solution():
     rng = np.random.default_rng(33)
     g = make_grid([(0.0, 1.0)], [24], 0.5, 12)
-    f = Field(g, rng.normal(size=g.shape_spacetime))
-    phi0 = Field(g, rng.normal(size=g.shape_space))
+    f = rng.normal(size=g.shape_spacetime)
+    phi0 = rng.normal(size=g.shape_space)
     spec = _heat_spec(g, f=f, phi0=phi0, omega=0.3)
-    full = solve_ibvp(spec).phi.values
+    full = solve_ibvp(spec).phi
     forced, drift = solve_split(spec)
-    total = forced.phi.values + drift.phi.values
+    total = forced.phi + drift.phi
     sup = np.max(np.abs(full))
     assert np.max(np.abs(total - full)) <= 1e-6 * (1.0 + sup)
 
@@ -75,36 +71,52 @@ def test_split_shortcuts_skip_work():
     g = make_grid([(0.0, 1.0)], [8], 0.5, 4)
     phi0 = sample_initial(lambda x: x * (1.0 - x), g)
     forced, drift = solve_split(_heat_spec(g, phi0=phi0))
-    assert np.all(forced.phi.values == 0.0) and forced.total_iterations == 0
-    assert np.max(np.abs(drift.phi.values)) > 0.0
+    assert forced.phi == 0.0 and forced.total_iterations == 0
+    assert np.max(np.abs(drift.phi)) > 0.0
+
+
+def test_number_and_spatial_data_solve_like_their_space_time_copies():
+    # a number or a spatial array is the same at every level: the solve
+    # reads it through at_level, bit for bit as its space-time copy
+    rng = np.random.default_rng(9)
+    g = make_grid([(0.0, 1.0)], [10], 0.5, 5)
+    steady = rng.normal(size=g.shape_space)
+    for f in (2.0, steady):
+        copy = np.broadcast_to(f, g.shape_spacetime).copy()
+        want = solve_ibvp(_heat_spec(g, f=copy, phi0=np.ones(g.shape_space))).phi
+        got = solve_ibvp(_heat_spec(g, f=f, phi0=1.0)).phi
+        assert np.array_equal(got, want)
+    # a split half that vanishes is the number 0.0
+    forced, drift = solve_split(_heat_spec(g, f=2.0))
+    assert drift.phi == 0.0 and drift.steps == g.nt
 
 
 def test_initial_data_contracts_in_sup_norm():
     rng = np.random.default_rng(2)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [12, 12], 1.0, 10)
-    phi0 = Field(g, rng.normal(size=g.shape_space))
+    phi0 = rng.normal(size=g.shape_space)
     sol = solve_ibvp(_heat_spec(g, phi0=phi0, omega=0.5))
-    assert np.max(np.abs(sol.phi.values)) <= np.max(np.abs(phi0.values)) + 1e-12
+    assert np.max(np.abs(sol.phi)) <= np.max(np.abs(phi0)) + 1e-12
 
 
 def test_maximum_principle_smoke():
     rng = np.random.default_rng(4)
     g = make_grid([(0.0, 1.0)], [16], 0.6, 8)
-    f = Field(g, rng.uniform(0.0, 3.0, g.shape_spacetime))
-    phi0 = Field(g, rng.uniform(0.0, 1.0, g.shape_space))
+    f = rng.uniform(0.0, 3.0, g.shape_spacetime)
+    phi0 = rng.uniform(0.0, 1.0, g.shape_space)
     sol = solve_ibvp(_heat_spec(g, f=f, phi0=phi0, diag=[1.7]))
-    assert np.min(sol.phi.values) >= -1e-12
+    assert np.min(sol.phi) >= -1e-12
 
 
 def test_large_steps_remain_stable_and_bounded():
     # dt = 2.5 is far beyond any explicit stability limit
     g = make_grid([(0.0, 1.0)], [32], 10.0, 4)
-    f = Field(g, np.full(g.shape_spacetime, 2.0))
-    phi0 = Field(g, np.full(g.shape_space, 1.0))
+    f = np.full(g.shape_spacetime, 2.0)
+    phi0 = np.full(g.shape_space, 1.0)
     sol = solve_ibvp(_heat_spec(g, f=f, phi0=phi0))
     bound = 1.0 + 10.0 * 2.0
-    assert np.max(np.abs(sol.phi.values)) <= bound
-    assert np.all(np.isfinite(sol.phi.values))
+    assert np.max(np.abs(sol.phi)) <= bound
+    assert np.all(np.isfinite(sol.phi))
 
 
 def test_cross_terms_keep_solver_symmetric():
@@ -113,17 +125,17 @@ def test_cross_terms_keep_solver_symmetric():
     rng = np.random.default_rng(8)
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [10, 10], 0.3, 6)
     A = MatrixCoefficient(g, [1.0, 1.3], {(0, 1): 0.4})
-    f = Field(g, rng.normal(size=g.shape_spacetime))
-    spec = ProblemSpec(g, A, 0.0, f, Field(g, np.zeros(g.shape_space)), lam=0.5)
+    f = rng.normal(size=g.shape_spacetime)
+    spec = ProblemSpec(g, A, 0.0, f, 0.0, lam=0.5)
     sol = solve_ibvp(spec)
-    assert np.all(np.isfinite(sol.phi.values))
+    assert np.all(np.isfinite(sol.phi))
     assert max(sol.residuals) < 1e-9
     # <u, L v> = <L u, v> with a varying axx, a varying cross term and a varying omega
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
     axy = 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)
     omega = rng.random(g.shape_space)
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): axy})
-    L = Stencil.at(ProblemSpec(g, A, omega, f, Field(g, np.zeros(g.shape_space)), lam=0.5), 1)
+    L = Stencil.at(ProblemSpec(g, A, omega, f, 0.0, lam=0.5), 1)
     u, v = rng.normal(size=(2, *g.shape_space))
     assert math.isclose(np.sum(u * L.apply(v)), np.sum(L.apply(u) * v), rel_tol=1e-12)
 
@@ -234,8 +246,7 @@ def _cross_term_step_system():
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
     A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)})
     omega = rng.random(g.shape_space)
-    spec = ProblemSpec(g, A, omega, Field(g, np.zeros(g.shape_spacetime)),
-                       Field(g, np.zeros(g.shape_space)), lam=0.5)
+    spec = ProblemSpec(g, A, omega, 0.0, 0.0, lam=0.5)
     apply_op = Stencil.at(spec, 1, 1.0 / g.dt).apply
     history = rng.normal(size=(3, *g.shape_space))
     b = history[1] / g.dt + rng.normal(size=g.shape_space)
@@ -277,22 +288,22 @@ def test_cg_failures_carry_their_residuals():
 def test_time_dependent_omega_matches_manual_stepping():
     g = make_grid([(0.0, 1.0)], [12], 0.5, 5)
     ramp = np.broadcast_to(np.linspace(0.0, 2.0, 6)[:, None], (6, 12)).copy()
-    f = Field(g, np.ones(g.shape_spacetime))
+    f = np.ones(g.shape_spacetime)
     spec = _heat_spec(g, f=f, omega=ramp)
     sol = solve_ibvp(spec)
     # each step rebuilt by hand from the operator frozen at the new level
     state = np.zeros(g.shape_space)
     for k in range(5):
-        rhs = state / g.dt + spec.f.values[k + 1]
+        rhs = state / g.dt + spec.f[k + 1]
         state, _, _ = conjugate_gradient(Stencil.at(spec, k + 1, 1.0 / g.dt).apply, rhs, state,
                                          1e-10, 10 * g.num_cells)
-        assert np.array_equal(sol.phi.values[k + 1], state)
+        assert np.array_equal(sol.phi[k + 1], state)
 
 
 def test_export_import_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     g = make_grid([(0.0, 0.75), (0.25, 1.0)], [6, 5], 0.3, 4)
-    f = Field(g, rng.normal(size=g.shape_spacetime))
+    f = rng.normal(size=g.shape_spacetime)
     sol = solve_ibvp(_heat_spec(g, f=f))
     path = os.path.join(tmp_path, "solution.txt")
     export_solution(sol, path)
@@ -309,7 +320,7 @@ def test_export_import_round_trip(tmp_path):
     assert nt == g.nt
     assert math.isclose(float(header[3 + dim]), g.T, rel_tol=1e-15)
     values = np.loadtxt(path, skiprows=2).reshape((nt + 1, *nx))
-    assert np.array_equal(values, sol.phi.values)
+    assert np.array_equal(values, sol.phi)
 
 
 def test_solve_options_validation():
