@@ -59,9 +59,8 @@ def _cmd_diagnose(args) -> int:
     beta0 = args.beta0 if args.beta0 is not None else \
         (bundle.sweep.beta0 if bundle.sweep else 1.0)
     i_max = bundle.sweep.i_max if bundle.sweep else 12
-    check_ladder(beta0, i_max)
-    forced, drift = solve_split(spec, opts=bundle.solve_options)
-    d = diagnose(spec, forced.phi, drift.phi, beta0, i_max)
+    check_ladder(beta0, i_max, spec.q)
+    d = diagnose(spec, *solve_split(spec, opts=bundle.solve_options), beta0, i_max)
     report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,
                             spec.q, spec.grid.dim, beta0)
     l1_lhs, l1_rhs, _ = d.l1

@@ -30,8 +30,8 @@ from parabolab.errors import ConfigurationError, FitError, ResolutionError, Solv
 from parabolab.fields import (Grid, MatrixCoefficient, ProblemSpec, make_grid, sample,
                               sample_initial)
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, check_ladder,
-                             choose_alpha, exp_moment, l1_check, trace)
-from parabolab.norms import ess_sup, exp_or_inf, lq_spacetime
+                             choose_alpha, exp_moment, first_rung, l1_check, trace)
+from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, solve_ibvp, solve_split
 
@@ -192,8 +192,8 @@ def diagnose(spec: ProblemSpec, phi1, phi2, beta0: float = 1.0, i_max: int = 12)
     """Run the diagnostic chain on the forced part phi1 and drift phi2.
 
     phi1 solves spec's problem with its forcing f and zero data, phi2 the
-    one with its data phi0 and no forcing; one of them may be the number
-    0.0, as :func:`solve_split` returns a half that vanishes.  f, phi0, q
+    one with its data phi0 and no forcing; either may be the number 0.0,
+    as :func:`solve_split` returns a half whose data vanish.  f, phi0, q
     and the grid come from spec.  |f|_1, |f|_{1+N/2} and |f|_q come from
     one read of f's support, and phi1 is normalized to u = phi1 / scale
     with scale = max(|f|_{1+N/2}, 1).  The L^1 check compares u with
@@ -201,32 +201,24 @@ def diagnose(spec: ProblemSpec, phi1, phi2, beta0: float = 1.0, i_max: int = 12)
     nothing here raises RangeError.
 
     Sign handling: the sup estimate is one-sided through the exponential,
-    so the chain keeps the larger answer of u and -u.  The ladder trace,
-    with its interpolation triple, runs once: on -u when its measured sup
-    e^max(-u) beats u's, else on u, which keeps a tie.  Each exponential
-    moment of w = max(e^u, 1) keeps its larger value over the two signs.
-    -u's moment is skipped where u's beats the bound
-    |Omega_T| e^(rate max(-u)) on it by a relative 1e-9, far above the
-    rounding of either side, so none runs when min(u) >= 0.
+    so the chain runs on u, and on -u exactly when some sample of u is
+    negative: otherwise each sample of -u is at most that of u, and -u
+    could neither win the trace nor raise a moment.  It keeps the ladder
+    trace, with its interpolation triple, of the larger measured sup (u's
+    on a tie), and the larger moment of w = max(e^u, 1) for each rate.
     """
     grid, q = spec.grid, spec.q
-    N = grid.dim
-    weight = grid.cell_volume * grid.dt
     phi = phi1 + phi2
+    if np.ndim(phi) == 0:   # both halves are the number 0.0
+        phi = np.zeros(grid.shape_spacetime)
     phi_sup = float(np.max(np.abs(phi, out=phi)))
-    f_norm_1, f_norm_crit, f_norm_q = lq_spacetime(spec.f, grid, (1.0, 1.0 + N / 2.0, q))
+    f_norm_1, f_norm_crit, f_norm_q = lq_spacetime(spec.f, grid, (1.0, 1.0 + grid.dim / 2.0, q))
     scale = max(f_norm_crit, 1.0)
     u = np.broadcast_to(phi1, phi.shape) / scale
-    reach = -float(np.min(u))   # max(-u)
-    minus_wins = exp_or_inf(reach) > exp_or_inf(max(float(np.max(u)), 0.0))
-    tr = trace(-u if minus_wins else u, grid, beta0, q, i_max)
-    moments = exp_moment(u, grid, ALPHA_CANDIDATES)
-    if reach > 0.0:
-        bound = u[1:].size * weight * (1.0 + 1e-9)
-        open_rates = [a for a in ALPHA_CANDIDATES
-                      if not moments[a] > bound * exp_or_inf(a * (1.0 + 2.0 / N) * reach)]
-        for a, m in (exp_moment(-u, grid, open_rates) if open_rates else {}).items():
-            moments[a] = max(moments[a], m)
+    signs = (u, -u) if np.min(u) < 0.0 else (u,)
+    tr = max((trace(s, grid, beta0, q, i_max) for s in signs), key=lambda t: t.measured_sup)
+    tables = [exp_moment(s, grid, ALPHA_CANDIDATES) for s in signs]
+    moments = {a: max(table[a] for table in tables) for a in ALPHA_CANDIDATES}
     return Diagnosis(phi_sup, ess_sup(spec.phi0), ess_sup(phi2), f_norm_crit, f_norm_q, scale,
                      l1_check(u, grid, f_norm_1 / scale), tr, moments)
 
@@ -264,9 +256,10 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
 
     The template's forcing is replaced by the family member at each eps;
     everything else (grid, coefficients, initial data, q) is shared.
-    Every eps passes :func:`check_bump`, and beta0 and i_max pass
-    :func:`check_ladder`, before the first solve.  A row
-    whose solve raises :class:`SolverError` goes to ``skipped`` with the
+    Before the first solve, beta0, i_max and q pass :func:`check_ladder`,
+    and every eps passes :func:`check_bump` with a finite gamma and a
+    finite peak bound amplitude * eps^-gamma (psi < 1).  A row whose
+    solve raises :class:`SolverError` goes to ``skipped`` with the
     error's text; :func:`diagnose` raises nothing on a solved row.  alpha
     is chosen once for the whole sweep: the largest 2^-k below r whose
     exponential moments stay within moment_cap * |Omega_T| on every row
@@ -277,20 +270,26 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
         raise ConfigurationError("empty sweep: no eps values supplied")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    check_ladder(beta0, i_max)
-    grid = template.grid
-    q = template.q
+    grid, q = template.grid, template.q
+    check_ladder(beta0, i_max, q)
     for eps in eps_values:
         check_bump(eps, (*family.center, family.t0), grid)
+        try:
+            peak = family.amplitude * eps ** -family.gamma
+        except OverflowError:
+            peak = math.inf
+        if not (math.isfinite(family.gamma) and math.isfinite(peak)):
+            raise ConfigurationError(f"sweep.amplitude = {family.amplitude} and sweep.gamma = "
+                                     f"{family.gamma} leave no finite bump peak at eps = {eps}")
 
     def attempt(eps):
         """(eps, Diagnosis, None), or (eps, None, reason) when the solver fails."""
         spec = replace(template, f=family.field(eps, grid))
         try:
-            forced, drift = solve_split(spec, opts=opts)
+            phi1, phi2 = solve_split(spec, opts=opts)
         except SolverError as err:
             return eps, None, str(err)
-        return eps, diagnose(spec, forced.phi, drift.phi, beta0, i_max), None
+        return eps, diagnose(spec, phi1, phi2, beta0, i_max), None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -300,8 +299,8 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
     done = [(eps, d) for eps, d, _ in outcomes if d is not None]
     skipped = tuple((eps, reason) for eps, d, reason in outcomes if d is None)
 
-    r = (1.0 + beta0) * q / (q - 1.0)
-    alpha = choose_alpha([d.moments for _, d in done], r, grid.spacetime_volume, moment_cap)
+    alpha = choose_alpha([d.moments for _, d in done], first_rung(beta0, q),
+                         grid.spacetime_volume, moment_cap)
     rows = []
     for eps, d in done:
         report = assemble_bound(d.phi_sup, d.sup_phi0, d.f_norm_crit, d.f_norm_q,

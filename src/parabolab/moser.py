@@ -116,24 +116,32 @@ def chi(N: int, q: float) -> float:
     return (N + 2.0) / N * (q - 1.0) / q
 
 
-def check_ladder(beta0: float, i_max: int) -> None:
-    """Refuse a ladder start beta0 <= 0 or a top index i_max < 0 (DomainError);
-    the commands call it before their first solve."""
+def first_rung(beta0: float, q: float) -> float:
+    """The ladder's first exponent r = (1+beta0) q/(q-1)."""
+    return (1.0 + beta0) * q / (q - 1.0)
+
+
+def check_ladder(beta0: float, i_max: int, q: float) -> None:
+    """Refuse beta0 <= 0, i_max < 0, or a first rung above LADDER_CAP, which
+    leaves no rung (DomainError); the commands call it before their first solve."""
     if not beta0 > 0.0:
         raise DomainError(f"beta0 must be positive, got {beta0}")
     if i_max < 0:
         raise DomainError(f"i_max must be >= 0, got {i_max}")
+    r = first_rung(beta0, q)
+    if not r <= LADDER_CAP:
+        raise DomainError(f"beta0 = {beta0} leaves no ladder rung: the first, r = {r}, "
+                          f"exceeds the cap {LADDER_CAP}")
 
 
 def ladder(beta0: float, q: float, N: int, i_max: int = 12):
     """Exponent ladder p_i = (1+beta0) * (q/(q-1)) * chi^i for i = 0..i_max,
     ending before the first p_i above LADDER_CAP (chi > 1, so every later
-    one is above it too)."""
-    check_ladder(beta0, i_max)
+    one is above it too); :func:`check_ladder` refuses an empty one."""
     c = chi(N, q)
-    base = (1.0 + beta0) * q / (q - 1.0)
+    check_ladder(beta0, i_max, q)
     return list(takewhile(lambda p: p <= LADDER_CAP,
-                          (base * c ** i for i in range(int(i_max) + 1))))
+                          (first_rung(beta0, q) * c ** i for i in range(int(i_max) + 1))))
 
 
 def trace(u: np.ndarray, grid: Grid, beta0: float, q: float, i_max: int = 12) -> MoserTrace:
@@ -158,8 +166,6 @@ def trace(u: np.ndarray, grid: Grid, beta0: float, q: float, i_max: int = 12) ->
     c = chi(N, q)
     kept = ladder(beta0, q, N, i_max)
     truncated = len(kept) <= i_max
-    if not kept:
-        raise DomainError(f"every ladder exponent exceeds the cap {LADDER_CAP}")
     r, alpha = kept[0], min(1.0, 0.5 * kept[0])
 
     later = u[1:]
@@ -194,7 +200,7 @@ def exponents(beta0: float, q: float, N: int, alpha: float):
         raise DomainError(f"beta0 must be positive, got {beta0}")
     c = chi(N, q)
     alpha0 = c / ((1.0 + beta0) * (c - 1.0))
-    r = (1.0 + beta0) * q / (q - 1.0)
+    r = first_rung(beta0, q)
     if not 0.0 < alpha < r:
         raise DomainError(f"alpha must lie in (0, r) = (0, {r:.6g}), got {alpha}")
     final = alpha0 * r / alpha + 1.0 / alpha
@@ -237,7 +243,7 @@ def assemble_bound(lhs: float, sup_phi0: float, f_norm_crit: float, f_norm_q: fl
     """
     log_term = math.log(f_norm_q + 1.0)
     if alpha is None:
-        alpha = min(1.0, 0.5 * (1.0 + beta0) * q / (q - 1.0))
+        alpha = min(1.0, 0.5 * first_rung(beta0, q))
     alpha0, r, final = exponents(beta0, q, N, alpha)
     if f_norm_q == 0.0:
         if lhs > sup_phi0 + 1e-8 * (1.0 + sup_phi0):

@@ -35,11 +35,9 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class Solution:
-    """Space-time solution on ``grid`` with the per-step linear-solver
-    history; ``phi`` is the array of every time level, or the number 0.0
-    for a half of :func:`solve_split` that vanishes."""
+    """Every time level ``phi`` of one march on ``grid``, with its CG history."""
     grid: Grid
-    phi: object
+    phi: np.ndarray
     residuals: tuple
     iterations: tuple
 
@@ -215,17 +213,14 @@ def solve_ibvp(spec: ProblemSpec, opts: SolveOptions = None) -> Solution:
 def solve_split(spec: ProblemSpec, opts: SolveOptions = None):
     """Split phi = phi1 + phi2: forcing with zero data, data with zero forcing.
 
-    Returns (Solution phi1, Solution phi2).  When the initial data or
-    the forcing vanish identically the corresponding half is the number
-    0.0, produced without linear solves.
+    Returns (phi1, phi2): each the array of every time level of one march,
+    or the number 0.0, with no solve, when its data (f for phi1, phi0 for
+    phi2) vanish.  If the other datum is already zero, spec is marched as is.
     """
-    g = spec.grid
-    zero_history = Solution(g, 0.0, (0.0,) * g.nt, (0,) * g.nt)
-    if not np.any(spec.phi0):
-        return solve_ibvp(spec, opts), zero_history
-    if not np.any(spec.f):
-        return zero_history, solve_ibvp(spec, opts)
-    return solve_ibvp(replace(spec, phi0=0.0), opts), solve_ibvp(replace(spec, f=0.0), opts)
+    has_f, has_phi0 = np.any(spec.f), np.any(spec.phi0)
+    phi1 = solve_ibvp(replace(spec, phi0=0.0) if has_phi0 else spec, opts).phi if has_f else 0.0
+    phi2 = solve_ibvp(replace(spec, f=0.0) if has_f else spec, opts).phi if has_phi0 else 0.0
+    return phi1, phi2
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,7 @@ def _mms_l1_cases():
 
 
 def _l1_passes(spec):
-    forced, drift = solve_split(spec)
-    return diagnose(spec, forced.phi, drift.phi).l1[2]
+    return diagnose(spec, *solve_split(spec)).l1[2]
 
 
 def test_criterion_3_l1_estimate_on_corpus():

@@ -240,15 +240,59 @@ def test_bad_ladder_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch
     assert err.startswith("error: ") and key in err
 
 
+# each once solved the first probe (diagnose: the problem) and then exited 2
+# from trace with "every ladder exponent exceeds the cap"
+@pytest.mark.parametrize("argv, config, edit", [
+    (["sweep"], SMALL, {"beta0 = 1.0": "beta0 = inf"}),
+    (["sweep"], SMALL, {"beta0 = 1.0": "beta0 = 1e300"}),
+    (["diagnose", "--beta0", "1e300"], DEMO, {})],
+    ids=["sweep_beta0_inf", "sweep_beta0_1e300", "diagnose_beta0_1e300"])
+def test_a_ladder_with_no_rung_fails_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                      argv, config, edit):
+    calls = []
+
+    def counting(real):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "solve_split", counting(module.solve_split))
+    text = open(config).read()
+    for line, value in edit.items():
+        assert line in text
+        text = text.replace(line, value)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run(argv + ["--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta0 = ") and "leaves no ladder rung" in err
+    assert calls == []
+
+
 # each once ran with exit 0: a nan bump centre passed every range test and
-# gave four rows of zeros, and moment_cap = -1 picked alpha = 2^-8
+# gave four rows of zeros, and moment_cap = -1 picked alpha = 2^-8; a nan
+# amplitude or gamma exited 1 naming forcing.f, 1e308 and inf after a
+# numpy RuntimeWarning (an error under this suite's warning filter), and
+# gamma = 400 overflowed eps^-gamma at eps = 1/8 with an OverflowError
 @pytest.mark.parametrize("edit, key", [({"t0 = 0.13": "t0 = nan"}, "nan"),
                                        ({"x0 = 0.375,0.375": "x0 = nan,0.375"}, "nan"),
                                        ({"moment_cap = 10.0": "moment_cap = -1"},
                                         "sweep.moment_cap"),
                                        ({"moment_cap = 10.0": "moment_cap = inf"},
-                                        "sweep.moment_cap")],
-                         ids=["t0_nan", "x0_nan", "moment_cap_negative", "moment_cap_inf"])
+                                        "sweep.moment_cap"),
+                                       ({"amplitude = 24.0": "amplitude = nan"},
+                                        "sweep.amplitude"),
+                                       ({"gamma = 2.0": "gamma = nan"}, "sweep.gamma"),
+                                       ({"amplitude = 24.0": "amplitude = 1e308"},
+                                        "sweep.amplitude"),
+                                       ({"gamma = 2.0": "gamma = inf"}, "sweep.gamma"),
+                                       ({"gamma = 2.0": "gamma = 400"}, "sweep.gamma")],
+                         ids=["t0_nan", "x0_nan", "moment_cap_negative", "moment_cap_inf",
+                              "amplitude_nan", "gamma_nan", "amplitude_overflow", "gamma_inf",
+                              "gamma_overflow"])
 def test_bad_sweep_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch, edit, key):
     monkeypatch.setattr(experiments, "solve_split", _no_work)
     text = open(SMALL).read()
@@ -261,6 +305,21 @@ def test_bad_sweep_settings_fail_before_any_solve(tmp_path, capsys, monkeypatch,
     assert run(["sweep", "--config", path, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and key in err
+
+
+# an --eps-list value passes the same peak check as the config's eps
+def test_an_overflowing_eps_list_peak_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "solve_split", _no_work)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(open(SMALL).read().replace("eps = 0.3535533905932738,0.25,0.1767766952966369,"
+                                            "0.125", "eps = 0.25").replace("gamma = 2.0",
+                                                                           "gamma = 400"))
+    assert run(["sweep", "--config", path, "--out", str(tmp_path),
+                "--eps-list", "0.25,0.125"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "sweep.gamma" in err
+    assert "eps = 0.125" in err
 
 
 # diagnose once solved this with an all-zero forcing: sup |phi| = 0, exit 0

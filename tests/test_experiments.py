@@ -149,11 +149,22 @@ def test_diagnose_takes_a_vanishing_forced_half():
     g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
     X, Y = g.meshgrid()
     spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, X * (1.0 - X) * Y)
-    forced, drift = solve_split(spec)
-    assert forced.phi == 0.0
-    d = diagnose(spec, forced.phi, drift.phi)
-    assert d.phi_sup == d.drift_sup == float(np.max(np.abs(drift.phi)))
+    phi1, phi2 = solve_split(spec)
+    assert phi1 == 0.0
+    d = diagnose(spec, phi1, phi2)
+    assert d.phi_sup == d.drift_sup == float(np.max(np.abs(phi2)))
     assert d.f_norm_crit == d.f_norm_q == 0.0 and d.scale == 1.0
+    assert d.l1 == (0.0, 0.0, True) and d.trace.measured_sup == 1.0
+
+
+# with f = 0 and phi0 = 0 both halves are 0.0; np.abs(..., out=) on their
+# sum, a number, once raised TypeError
+def test_diagnose_takes_two_vanishing_halves():
+    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
+    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, 0.0)
+    assert solve_split(spec) == (0.0, 0.0)
+    d = diagnose(spec, 0.0, 0.0)
+    assert d.phi_sup == d.drift_sup == d.sup_phi0 == 0.0 and d.scale == 1.0
     assert d.l1 == (0.0, 0.0, True) and d.trace.measured_sup == 1.0
 
 

@@ -5,6 +5,7 @@ constant u = log c.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ import pytest
 from parabolab.errors import (ConsistencyError, DomainError, RangeError)
 from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample
 from parabolab.experiments import diagnose
-from parabolab.moser import (ALPHA_CANDIDATES, assemble_bound, chi, choose_alpha,
-                             exp_moment, exponents, l1_check, ladder, trace, trace_to_csv)
+from parabolab.moser import (ALPHA_CANDIDATES, LADDER_CAP, assemble_bound, check_ladder, chi,
+                             choose_alpha, exp_moment, exponents, first_rung, l1_check, ladder,
+                             trace, trace_to_csv)
 from parabolab.norms import ess_sup, lq_spacetime
 from parabolab.solver import solve_split
 
@@ -95,10 +97,10 @@ def test_l1_check_on_a_real_solution():
     f = sample(lambda x, y, t: 4.0 * np.sin(math.pi * x) * np.sin(math.pi * y)
                * math.exp(-t), g)
     spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.25, f, 0.0)
-    forced, _ = solve_split(spec)
+    phi1, _ = solve_split(spec)
     f_norm_1, f_norm_crit = lq_spacetime(f, g, (1.0, 2.0))
     scale = max(f_norm_crit, 1.0)
-    lhs, rhs, passed = l1_check(forced.phi / scale, g, f_norm_1 / scale)
+    lhs, rhs, passed = l1_check(phi1 / scale, g, f_norm_1 / scale)
     assert passed
     assert lhs < rhs   # real margin, not just slack
 
@@ -141,6 +143,19 @@ def test_ladder_values_and_base_case():
         ladder(0.0, 4.0, 2)
     with pytest.raises(DomainError):
         ladder(1.0, 4.0, 2, i_max=-1)
+
+
+# beta0 = inf and 1e300 once passed check_ladder, and the trace raised
+# only after the solve; at q = 4, beta0 = 383 puts r at the cap exactly
+def test_check_ladder_refuses_a_first_rung_above_the_cap():
+    assert first_rung(383.0, 4.0) == LADDER_CAP
+    check_ladder(383.0, 12, 4.0)
+    assert ladder(383.0, 4.0, 2) == [LADDER_CAP]
+    for beta0 in (math.nextafter(383.0, math.inf), 1e300, math.inf):
+        with pytest.raises(DomainError, match=re.escape(f"beta0 = {beta0} leaves no ladder rung")):
+            check_ladder(beta0, 12, 4.0)
+        with pytest.raises(DomainError, match="leaves no ladder rung"):
+            ladder(beta0, 4.0, 2)
 
 
 def test_exponents_closed_forms():

@@ -93,8 +93,8 @@ def _assert_close(parts, whole):
 
 @given(problems())
 def test_split_parts_sum_to_the_full_solution(spec):
-    forced, drift = solve_split(spec)
-    _assert_close(forced.phi + drift.phi, solve_ibvp(spec).phi)
+    phi1, phi2 = solve_split(spec)
+    _assert_close(phi1 + phi2, solve_ibvp(spec).phi)
 
 
 @given(problems(), st.data())

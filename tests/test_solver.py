@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from parabolab import solver
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
 from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample_initial
@@ -61,18 +62,31 @@ def test_split_parts_sum_to_full_solution():
     phi0 = rng.normal(size=g.shape_space)
     spec = _heat_spec(g, f=f, phi0=phi0, omega=0.3)
     full = solve_ibvp(spec).phi
-    forced, drift = solve_split(spec)
-    total = forced.phi + drift.phi
+    phi1, phi2 = solve_split(spec)
+    total = phi1 + phi2
     sup = np.max(np.abs(full))
     assert np.max(np.abs(total - full)) <= 1e-6 * (1.0 + sup)
 
 
-def test_split_shortcuts_skip_work():
+# a half whose data vanish is the number 0.0 and costs no solve
+def test_split_shortcuts_skip_work(monkeypatch):
     g = make_grid([(0.0, 1.0)], [8], 0.5, 4)
-    phi0 = sample_initial(lambda x: x * (1.0 - x), g)
-    forced, drift = solve_split(_heat_spec(g, phi0=phi0))
-    assert forced.phi == 0.0 and forced.total_iterations == 0
-    assert np.max(np.abs(drift.phi)) > 0.0
+    calls = []
+
+    def counting(spec, opts=None):
+        calls.append(spec)
+        return solve_ibvp(spec, opts)
+
+    monkeypatch.setattr(solver, "solve_ibvp", counting)
+    for f, phi0, marches in ((0.0, 1.0, 1), (2.0, 0.0, 1), (2.0, 1.0, 2), (0.0, 0.0, 0)):
+        calls.clear()
+        phi1, phi2 = solve_split(_heat_spec(g, f=f, phi0=phi0))
+        assert len(calls) == marches
+        for half, data in ((phi1, f), (phi2, phi0)):
+            if data:
+                assert half.shape == g.shape_spacetime and np.max(np.abs(half)) > 0.0
+            else:
+                assert half == 0.0
 
 
 def test_number_and_spatial_data_solve_like_their_space_time_copies():
@@ -87,8 +101,7 @@ def test_number_and_spatial_data_solve_like_their_space_time_copies():
         got = solve_ibvp(_heat_spec(g, f=f, phi0=1.0)).phi
         assert np.array_equal(got, want)
     # a split half that vanishes is the number 0.0
-    forced, drift = solve_split(_heat_spec(g, f=2.0))
-    assert drift.phi == 0.0 and drift.steps == g.nt
+    assert solve_split(_heat_spec(g, f=2.0))[1] == 0.0
 
 
 def test_initial_data_contracts_in_sup_norm():
