@@ -20,7 +20,7 @@ essential sup, and the closed-form exponent bookkeeping that assembles
 the final bound.
 """
 
-from parabolab.fields import Grid, MatrixCoefficient, ProblemSpec, make_grid, sample, sample_initial
+from parabolab.fields import Grid, ProblemSpec, sample, sample_initial
 from parabolab.solver import SolveOptions, Solution, solve_ibvp, solve_split
 from parabolab.norms import lq_spacetime, ess_sup, sup_t_spatial_l1
 from parabolab.moser import exp_moment, l1_check, chi, ladder, exponents, trace, assemble_bound
@@ -30,8 +30,7 @@ from parabolab.experiments import BumpFamily, bump, diagnose, run_sweep, fit_log
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "MatrixCoefficient", "ProblemSpec",
-    "make_grid", "sample", "sample_initial",
+    "Grid", "ProblemSpec", "sample", "sample_initial",
     "SolveOptions", "Solution", "solve_ibvp", "solve_split",
     "lq_spacetime", "ess_sup", "sup_t_spatial_l1",
     "exp_moment", "l1_check", "chi", "ladder",

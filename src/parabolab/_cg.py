@@ -20,6 +20,7 @@ def conjugate_gradient(apply_op, b, x0, tol, max_iters):
     Convergence criterion: two-norm of the residual relative to
     ``|b|_2 <= tol``; r.r is both that test and the step scalar.  Returns
     ``(x, rel_residual, iterations)``.  Raises :class:`SolverError`
+    before the first iteration if ``|b|_2`` overflows a double, and
     carrying the last relative residual if ``max_iters`` is exhausted, or
     if the operator reveals a non-positive curvature direction (not SPD).
 
@@ -27,8 +28,11 @@ def conjugate_gradient(apply_op, b, x0, tol, max_iters):
     ``apply_op`` returns; the iterates are updated in place.
     """
     b = np.asarray(b, dtype=np.float64)
-    work = b * b
-    bnorm = math.sqrt(pairwise_sum(work))
+    with np.errstate(over="ignore"):
+        work = b * b
+        bnorm = math.sqrt(pairwise_sum(work))
+    if not math.isfinite(bnorm):
+        raise SolverError("the right side's 2-norm overflows a double")
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0, 0
     x = np.array(x0, dtype=np.float64, copy=True)

@@ -13,6 +13,7 @@ Grammar: INI sections with `key = value` lines.
 
 Only [grid] is required.  An unlisted section or key is refused, naming
 section.key, and so is a non-finite sample, naming its key and point.
+An entry of A left unset is that of the identity.
 Values are read literally: `%` has no meaning.
 
 Every a_ij, omega, f and phi0 is a number or a function, read by one
@@ -27,6 +28,11 @@ each (comma-separated for center, x0).  Names:
   sine amplitude=A decay=D      A * prod_k sin(pi (x_k-lo_k)/L_k) * e^(-D t)
   radial amplitude=A center=a,b exponent=P     A * |x - center|^P
   bump eps=E gamma=G x0=a,b t0=C
+
+A bump datum and the [sweep] section share their defaults: x0 at the box
+centre, t0 = 0.6 T, gamma = 2 (and amplitude 1, which only [sweep] sets).
+Both pass experiments.check_bump, whose messages name the datum's key or
+sweep.*.
 
 A bare number is shorthand for `constant value=<number>`.  A radial
 omega with P slightly above -2 stays integrable while damping a
@@ -43,8 +49,7 @@ import numpy as np
 
 from parabolab.errors import ConfigurationError
 from parabolab.experiments import BumpFamily, bump
-from parabolab.fields import (Grid, MatrixCoefficient, ProblemSpec, entry_name, make_grid,
-                              sample, sample_initial)
+from parabolab.fields import Grid, ProblemSpec, entry_name, sample, sample_initial
 from parabolab.solver import SolveOptions
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class SweepSettings:
 
 @dataclass(frozen=True)
 class ConfigBundle:
-    grid: Grid
     spec: ProblemSpec
     sweep: SweepSettings       # None when the file has no [sweep] section
     solve_options: SolveOptions
@@ -163,35 +167,33 @@ def _datum(text: str, key: str, grid: Grid):
     # bump, the one registered function left
     if "eps" not in params:
         raise ConfigurationError(f"{key}: bump needs eps=...")
-    x0 = params.get("x0", tuple(0.5 * (lo + hi) for lo, hi in grid.box))
-    return bump(params["eps"], params.get("gamma", 2.0), (*x0, params.get("t0", 0.6 * grid.T)),
-                grid)
+    return bump(_family(params, grid), params["eps"], grid, key)
 
 
-def _build_coefficient(section, grid: Grid) -> MatrixCoefficient:
+def _family(params, grid: Grid) -> BumpFamily:
+    """The bump family of a bump datum or the [sweep] section: x0 at the box
+    centre, t0 = 0.6 T, gamma = 2 and amplitude 1 unless params say otherwise."""
+    return BumpFamily(params.get("x0", tuple(0.5 * (lo + hi) for lo, hi in grid.box)),
+                      params.get("t0", 0.6 * grid.T), params.get("gamma", 2.0),
+                      params.get("amplitude", 1.0))
+
+
+def _build_coefficient(section, grid: Grid) -> dict:
+    """A as :class:`ProblemSpec` takes it: ``a`` sets the diagonal, each a_ij
+    key its entry, and ProblemSpec fills in the rest of the identity."""
     N = grid.dim
-    diag = [1.0] * N
+    A = {}
     if "a" in section:
         vals = parse_numbers(section["a"], "coefficients.a")
-        if len(vals) == 1:
-            diag = [vals[0]] * N
-        elif len(vals) == N:
-            diag = list(vals)
-        else:
-            raise ConfigurationError(
-                f"coefficients.a needs 1 or {N} values, got {len(vals)}")
-    off = {}
+        if len(vals) not in (1, N):
+            raise ConfigurationError(f"coefficients.a needs 1 or {N} values, got {len(vals)}")
+        A = {(k, k): vals[k % len(vals)] for k in range(N)}
     for i in range(N):
         for j in range(i, N):
             key = entry_name(i, j)
-            if key not in section:
-                continue
-            entry = _datum(section[key], f"coefficients.{key}", grid)
-            if i == j:
-                diag[i] = entry
-            else:
-                off[(i, j)] = entry
-    return MatrixCoefficient(grid, diag, off or None)
+            if key in section:
+                A[i, j] = _datum(section[key], f"coefficients.{key}", grid)
+    return A
 
 
 # the keys of each section; [coefficients] also takes an a_ij per pair of axes
@@ -238,7 +240,7 @@ def load_config(path: str) -> ConfigBundle:
             raise ConfigurationError(f"grid.box: each axis needs lo,hi, got {token!r}")
         box.append((vals[0], vals[1]))
     nx = parse_numbers(gs["nx"], "grid.nx", int)
-    grid = make_grid(box, nx, _scalar(parser, "grid", "T"), _scalar(parser, "grid", "nt", int))
+    grid = Grid(box, nx, _scalar(parser, "grid", "T"), _scalar(parser, "grid", "nt", int))
     _check_keys(parser, grid.dim)
 
     cs = parser["coefficients"] if "coefficients" in parser else {}
@@ -256,19 +258,17 @@ def load_config(path: str) -> ConfigBundle:
         if "eps" not in ss:
             raise ConfigurationError(f"{path}: [sweep] missing eps")
         eps = tuple(parse_numbers(ss["eps"], "sweep.eps"))
-        x0 = tuple(parse_numbers(ss["x0"], "sweep.x0")) if "x0" in ss \
-            else tuple(0.5 * (lo + hi) for lo, hi in grid.box)
-        if len(x0) != grid.dim:
-            raise ConfigurationError(f"sweep.x0 needs {grid.dim} components")
-        family = BumpFamily(x0, _scalar(parser, "sweep", "t0", default=0.6 * grid.T),
-                            _scalar(parser, "sweep", "gamma", default=2.0),
-                            _scalar(parser, "sweep", "amplitude", default=1.0))
+        params = {key: _scalar(parser, "sweep", key) for key in ("t0", "gamma", "amplitude")
+                  if key in ss}
+        if "x0" in ss:
+            params["x0"] = tuple(parse_numbers(ss["x0"], "sweep.x0"))
         moment_cap = _scalar(parser, "sweep", "moment_cap", default=10.0)
         if not (math.isfinite(moment_cap) and moment_cap > 0.0):
             raise ConfigurationError(f"sweep.moment_cap must be positive and finite, "
                                      f"got {moment_cap}")
-        sweep = SweepSettings(eps, family, _scalar(parser, "sweep", "beta0", default=1.0),
+        sweep = SweepSettings(eps, _family(params, grid),
+                              _scalar(parser, "sweep", "beta0", default=1.0),
                               _scalar(parser, "sweep", "i_max", int, 12), moment_cap)
 
-    return ConfigBundle(grid, spec, sweep,
+    return ConfigBundle(spec, sweep,
                         SolveOptions(_scalar(parser, "solver", "tol", default=1e-10)))

@@ -8,6 +8,9 @@ critical norm |f|_{1+N/2} while |f|_q grows like eps^((N+2)/q - 2) as
 eps shrinks: shrinking eps walks the forcing up the q-norm axis at
 fixed critical norm, which is exactly the regime where the logarithmic
 sup-norm law is visible against the classical linear-in-|f|_q bound.
+A :class:`BumpFamily` fixes x0, t0, gamma and an amplitude;
+:func:`check_bump` holds every refusal of one of its members, and
+:func:`bump` samples it.
 
 :func:`diagnose` runs the diagnostic chain on one split solution; the
 CLI's diagnose command and the sweep both call it.  The sweep checks
@@ -27,8 +30,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
-from parabolab.fields import (Grid, MatrixCoefficient, ProblemSpec, make_grid, sample,
-                              sample_initial)
+from parabolab.fields import Grid, ProblemSpec, sample, sample_initial
 from parabolab.moser import (ALPHA_CANDIDATES, MoserTrace, assemble_bound, check_ladder,
                              choose_alpha, exp_moment, first_rung, l1_check, trace)
 from parabolab.norms import ess_sup, lq_spacetime
@@ -47,24 +49,34 @@ def _psi(rho2: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_bump(eps: float, center, grid: Grid):
-    """Raise unless the bump at eps is resolved and fits in the box.
+@dataclass(frozen=True)
+class BumpFamily:
+    """Bump center and scaling exponent; eps varies per call."""
+    center: tuple          # spatial center x0
+    t0: float
+    gamma: float = 2.0
+    amplitude: float = 1.0
 
-    center is (x0_1, ..., x0_N, t0).  The bump must be resolved (at
-    least 4 cells across its radius in space, 4 steps across eps^2 in
-    time) and its support must fit inside the space-time box.  Returns
-    (x0, t0).
+
+def check_bump(family: BumpFamily, eps: float, grid: Grid, key: str = "sweep"):
+    """Raise unless the family's bump at eps can be sampled on the grid.
+
+    Every refusal of a bump is here: x0 needs one component per axis,
+    eps, x0 and t0 must be finite, the bump must be resolved (at least 4
+    cells across its radius in space, 4 steps across eps^2 in time), its
+    support must fit inside the space-time box, and gamma and the peak
+    bound amplitude * eps^-gamma (psi < 1) must be finite.  key names the
+    family's parameters in the messages: ``sweep`` for the [sweep]
+    section, ``forcing.f`` for a bump datum.
     """
     N = grid.dim
-    center = tuple(float(c) for c in center)
-    if len(center) != N + 1:
-        raise ConfigurationError(
-            f"center needs {N + 1} entries (x0..., t0), got {len(center)}")
-    x0, t0 = center[:N], center[N]
+    x0, t0 = tuple(family.center), family.t0
+    if len(x0) != N:
+        raise ConfigurationError(f"{key}.x0 needs {N} components, got {len(x0)}")
     if not (math.isfinite(eps) and eps > 0.0):
         raise ConfigurationError(f"eps must be positive and finite, got {eps}")
-    if not all(math.isfinite(c) for c in center):
-        raise ConfigurationError(f"bump center (x0..., t0) must be finite, got {center}")
+    if not all(math.isfinite(c) for c in (*x0, t0)):
+        raise ConfigurationError(f"bump center (x0..., t0) must be finite, got {(*x0, t0)}")
 
     hmax = max(grid.h)
     if eps + 1e-12 < 4.0 * hmax:
@@ -86,36 +98,26 @@ def check_bump(eps: float, center, grid: Grid):
         raise ConfigurationError(
             f"bump support [t0 +- eps^2] leaves (0, T): t0 = {t0:.6g}, "
             f"eps^2 = {eps * eps:.6g}, T = {grid.T:.6g}")
-    return x0, t0
+    try:
+        peak = family.amplitude * eps ** -family.gamma
+    except OverflowError:
+        peak = math.inf
+    if not (math.isfinite(family.gamma) and math.isfinite(peak)):
+        raise ConfigurationError(f"{key}.amplitude = {family.amplitude} and {key}.gamma = "
+                                 f"{family.gamma} leave no finite bump peak at eps = {eps}")
 
 
-def bump(eps: float, gamma: float, center, grid: Grid) -> np.ndarray:
-    """Sample f_eps = eps^(-gamma) psi((x-x0)/eps, (t-t0)/eps^2) on the grid.
-
-    center is (x0_1, ..., x0_N, t0); :func:`check_bump` guards eps.
-    """
-    N = grid.dim
-    x0, t0 = check_bump(eps, center, grid)
+def bump(family: BumpFamily, eps: float, grid: Grid, key: str = "sweep") -> np.ndarray:
+    """Sample amplitude * eps^(-gamma) psi((x-x0)/eps, (t-t0)/eps^2) on the grid,
+    once the family at eps passes :func:`check_bump`."""
+    check_bump(family, eps, grid, key)
     mesh = grid.meshgrid()
     space_rho2 = np.zeros(grid.shape_space)
-    for k in range(N):
-        space_rho2 += ((mesh[k] - x0[k]) / eps) ** 2
-    s = (grid.time_levels() - t0) / (eps * eps)
-    s2 = (s * s).reshape((-1,) + (1,) * N)
-    return eps ** (-gamma) * _psi(space_rho2[np.newaxis] + s2)
-
-
-@dataclass(frozen=True)
-class BumpFamily:
-    """Bump center and scaling exponent; eps varies per call."""
-    center: tuple          # spatial center x0
-    t0: float
-    gamma: float = 2.0
-    amplitude: float = 1.0
-
-    def field(self, eps: float, grid: Grid) -> np.ndarray:
-        f = bump(eps, self.gamma, (*self.center, self.t0), grid)
-        return f if self.amplitude == 1.0 else self.amplitude * f
+    for k in range(grid.dim):
+        space_rho2 += ((mesh[k] - family.center[k]) / eps) ** 2
+    s = (grid.time_levels() - family.t0) / (eps * eps)
+    s2 = (s * s).reshape((-1,) + (1,) * grid.dim)
+    return family.amplitude * (eps ** (-family.gamma) * _psi(space_rho2[np.newaxis] + s2))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +259,7 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
     The template's forcing is replaced by the family member at each eps;
     everything else (grid, coefficients, initial data, q) is shared.
     Before the first solve, beta0, i_max and q pass :func:`check_ladder`,
-    and every eps passes :func:`check_bump` with a finite gamma and a
-    finite peak bound amplitude * eps^-gamma (psi < 1).  A row whose
+    and the family at every eps passes :func:`check_bump`.  A row whose
     solve raises :class:`SolverError` goes to ``skipped`` with the
     error's text; :func:`diagnose` raises nothing on a solved row.  alpha
     is chosen once for the whole sweep: the largest 2^-k below r whose
@@ -273,18 +274,11 @@ def run_sweep(template: ProblemSpec, family: BumpFamily, eps_list,
     grid, q = template.grid, template.q
     check_ladder(beta0, i_max, q)
     for eps in eps_values:
-        check_bump(eps, (*family.center, family.t0), grid)
-        try:
-            peak = family.amplitude * eps ** -family.gamma
-        except OverflowError:
-            peak = math.inf
-        if not (math.isfinite(family.gamma) and math.isfinite(peak)):
-            raise ConfigurationError(f"sweep.amplitude = {family.amplitude} and sweep.gamma = "
-                                     f"{family.gamma} leave no finite bump peak at eps = {eps}")
+        check_bump(family, eps, grid)
 
     def attempt(eps):
         """(eps, Diagnosis, None), or (eps, None, reason) when the solver fails."""
-        spec = replace(template, f=family.field(eps, grid))
+        spec = replace(template, f=bump(family, eps, grid))
         try:
             phi1, phi2 = solve_split(spec, opts=opts)
         except SolverError as err:
@@ -382,7 +376,7 @@ def _mms_error(dim: int, n: int) -> float:
     """Sup error of the manufactured solution prod sin(pi x_k) e^-t."""
     T = 0.5
     nt = max(2, round(T * n * n))  # dt = h^2 on the unit box
-    grid = make_grid([(0.0, 1.0)] * dim, [n] * dim, T, nt)
+    grid = Grid([(0.0, 1.0)] * dim, [n] * dim, T, nt)
 
     def exact(*args):
         xs, t = args[:-1], args[-1]
@@ -393,7 +387,7 @@ def _mms_error(dim: int, n: int) -> float:
         return out
 
     k = dim * math.pi ** 2 - 1.0
-    spec = ProblemSpec(grid, MatrixCoefficient.identity(grid), 0.0,
+    spec = ProblemSpec(grid, {}, 0.0,
                        sample(lambda *args: k * exact(*args), grid),
                        sample_initial(lambda *xs: exact(*xs, 0.0), grid))
     sol = solve_ibvp(spec, opts=SolveOptions(tol=1e-11))

@@ -5,10 +5,11 @@ axis-aligned box in R^N, N in {1, 2, 3}.  Each axis is split into nx
 uniform cells and data are sampled at cell midpoints; time is split into
 nt uniform steps with samples at the nt + 1 levels t_n = n * dt.  The
 homogeneous Dirichlet condition lives on ghost faces, so no boundary nodes
-are stored.
+are stored.  :class:`Grid` checks its extents and counts when it is built.
 
 Every datum (an entry of A, omega, f, phi0) is a finite number or a
-finite float64 array, and :func:`check_entry` is the one check of that.
+finite float64 array, and :func:`check_entry` is the one check of that;
+A itself is a dict from index pairs (i, j), i <= j, to its entries.
 It varies in time exactly when its array has the space-time shape
 (nt + 1, *nx); a spatial array (*nx), or a number, is the same at every
 level.  :func:`at_level` reads one level of any of them.
@@ -38,9 +39,12 @@ _H1_SLACK = 1e-10
 class Grid:
     """Uniform cell-centered grid on a space-time box.
 
-    ``box`` holds (lo, hi) per spatial axis, ``nx`` the cell counts,
-    ``T`` the final time, and ``nt`` the number of time steps.  Spacings
-    are the single-division values h_k = (hi_k - lo_k) / nx_k and
+    ``box`` is a sequence of finite (lo, hi) pairs (one per axis, up to
+    three), ``nx`` the per-axis cell counts (>= 4 each), ``T`` > 0 the
+    finite final time and ``nt`` >= 2 the number of steps; construction
+    converts them to tuples of floats and ints and raises
+    :class:`ConfigurationError`, naming the offending axis, otherwise.
+    Spacings are the single-division values h_k = (hi_k - lo_k) / nx_k and
     dt = T / nt.  Two grids compare equal iff all four defining tuples
     match exactly.
     """
@@ -49,6 +53,26 @@ class Grid:
     nx: tuple
     T: float
     nt: int
+
+    def __post_init__(self):
+        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+        nx = tuple(int(n) for n in (self.nx if np.iterable(self.nx) else [self.nx]))
+        if not 1 <= len(box) <= 3:
+            raise ConfigurationError(f"spatial dimension must be 1, 2 or 3, got {len(box)}")
+        if len(nx) != len(box):
+            raise ConfigurationError(f"nx has {len(nx)} entries for a {len(box)}-dimensional box")
+        for k, ((lo, hi), n) in enumerate(zip(box, nx)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ConfigurationError(f"axis {k}: box requires finite lo < hi, got ({lo}, {hi})")
+            if n < 4:
+                raise ConfigurationError(f"axis {k}: at least 4 cells required, got {n}")
+        T, nt = float(self.T), int(self.nt)
+        if not (math.isfinite(T) and T > 0):
+            raise ConfigurationError(f"final time must be positive and finite, got {T}")
+        if nt < 2:
+            raise ConfigurationError(f"at least 2 time steps required, got {nt}")
+        for name, value in (("box", box), ("nx", nx), ("T", T), ("nt", nt)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -107,34 +131,6 @@ class Grid:
         """Spatial midpoint coordinate arrays, each of shape ``shape_space``."""
         axes = [self.midpoints(k) for k in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
-
-
-def make_grid(box, nx, T, nt) -> Grid:
-    """Construct a validated grid.
-
-    ``box`` is a sequence of finite (lo, hi) pairs (one per axis, up to
-    three), ``nx`` the per-axis cell counts (>= 4 each), ``T`` > 0 the
-    finite final time and ``nt`` >= 2 the number of steps.  Errors name
-    the offending axis.
-    """
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    nx = tuple(int(n) for n in (nx if np.iterable(nx) else [nx]))
-    if not 1 <= len(box) <= 3:
-        raise ConfigurationError(f"spatial dimension must be 1, 2 or 3, got {len(box)}")
-    if len(nx) != len(box):
-        raise ConfigurationError(f"nx has {len(nx)} entries for a {len(box)}-dimensional box")
-    for k, ((lo, hi), n) in enumerate(zip(box, nx)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise ConfigurationError(f"axis {k}: box requires finite lo < hi, got ({lo}, {hi})")
-        if n < 4:
-            raise ConfigurationError(f"axis {k}: at least 4 cells required, got {n}")
-    T = float(T)
-    nt = int(nt)
-    if not (math.isfinite(T) and T > 0):
-        raise ConfigurationError(f"final time must be positive and finite, got {T}")
-    if nt < 2:
-        raise ConfigurationError(f"at least 2 time steps required, got {nt}")
-    return Grid(box=box, nx=nx, T=T, nt=nt)
 
 
 def _grid_point(grid: Grid, idx) -> tuple:
@@ -202,41 +198,6 @@ def entry_name(i: int, j: int) -> str:
     return f"a{'xyz'[i]}{'xyz'[j]}"
 
 
-class MatrixCoefficient:
-    """Symmetric N x N coefficient matrix A on a grid.
-
-    Diagonal entries are stored per axis, off-diagonal entries per
-    unordered pair {i, j}; each entry is a scalar (constant in space and
-    time), a spatial array (static in time), or a full space-time array.
-    Missing off-diagonal entries are zero.
-    """
-
-    def __init__(self, grid: Grid, diag, off=None):
-        self.grid = grid
-        diag = list(diag)
-        if len(diag) != grid.dim:
-            raise ConfigurationError(
-                f"A needs {grid.dim} diagonal entries, got {len(diag)}")
-        self.diag = [check_entry(grid, d, f"coefficients.{entry_name(k, k)}")
-                     for k, d in enumerate(diag)]
-        self.off = {}
-        for (i, j), value in (off or {}).items():
-            if i == j or not (0 <= i < grid.dim and 0 <= j < grid.dim):
-                raise ConfigurationError(f"invalid off-diagonal index pair ({i}, {j})")
-            key = (min(i, j), max(i, j))
-            self.off[key] = check_entry(grid, value, f"coefficients.{entry_name(*key)}")
-
-    @classmethod
-    def identity(cls, grid: Grid) -> "MatrixCoefficient":
-        return cls(grid, [1.0] * grid.dim)
-
-    def component(self, i: int, j: int):
-        """Entry a_ij as stored: scalar, spatial array, or space-time array."""
-        if i == j:
-            return self.diag[i]
-        return self.off.get((min(i, j), max(i, j)), 0.0)
-
-
 def _lowest(grid: Grid, values):
     """The smallest sample of a scalar or array and, for an array, the text
     ' at point (...)' naming where it is."""
@@ -250,11 +211,15 @@ def _lowest(grid: Grid, values):
 class ProblemSpec:
     """Full problem data: grid, coefficients, forcing, initial state.
 
-    ``omega``, ``f`` and ``phi0`` are stored like an entry of A and pass
-    :func:`check_entry`: each is a number, a spatial array or a space-time
-    array, except that ``phi0`` may not vary in time.  ``lam`` is the
-    claimed ellipticity constant, ``q`` the integrability exponent of the
-    forcing used by the diagnostics.
+    ``A`` maps index pairs (i, j), i <= j < N, to the entries a_ij of the
+    symmetric coefficient matrix; a missing diagonal entry reads 1.0 and a
+    missing off-diagonal one 0.0, so ``{}`` is the identity, and any other
+    key is refused.  Construction stores the full dict, with every pair.
+    Each a_ij, ``omega``, ``f`` and ``phi0`` passes :func:`check_entry`:
+    each is a number, a spatial array or a space-time array, except that
+    ``phi0`` may not vary in time.  ``lam`` is the claimed ellipticity
+    constant, ``q`` the integrability exponent of the forcing used by the
+    diagnostics.
 
     Construction also checks the standing hypotheses: the smallest
     eigenvalue of A reaches lam - 1e-10 at every sample, omega is
@@ -265,7 +230,7 @@ class ProblemSpec:
     """
 
     grid: Grid
-    A: MatrixCoefficient
+    A: dict
     omega: object
     f: object
     phi0: object
@@ -273,22 +238,28 @@ class ProblemSpec:
     q: float = 4.0
 
     def __post_init__(self):
-        if self.A.grid != self.grid:
-            raise ConfigurationError("A lives on a different grid")
+        N = self.grid.dim
+        pairs = [(i, j) for i in range(N) for j in range(i, N)]
+        for key in self.A:
+            if key not in pairs:
+                raise ConfigurationError(f"A has no entry {key!r}: its keys are the pairs "
+                                         f"(i, j) with i <= j < {N}")
+        object.__setattr__(self, "A", {
+            (i, j): check_entry(self.grid, self.A.get((i, j), float(i == j)),
+                                f"coefficients.{entry_name(i, j)}") for i, j in pairs})
         for section, key in (("coefficients", "omega"), ("forcing", "f"), ("forcing", "phi0")):
             object.__setattr__(self, key, check_entry(self.grid, getattr(self, key),
                                                       f"{section}.{key}"))
         if np.ndim(self.phi0) > self.grid.dim:
             raise ConfigurationError("forcing.phi0 must not vary in time, got the space-time "
                                      f"shape {self.phi0.shape}")
-        N = self.grid.dim
         violations = []
         if not self.lam > 0:
             violations.append(f"ellipticity constant must be positive, got {self.lam!r}")
         else:
             # stack a_ij over the broadcast shape of the entries: a constant A
             # is one N x N matrix, an array A one matrix per sample
-            entries = [self.A.component(i, j) for i in range(N) for j in range(N)]
+            entries = [self.A[min(i, j), max(i, j)] for i in range(N) for j in range(N)]
             shape = np.broadcast_shapes(*(np.shape(a) for a in entries))
             stacked = np.stack([np.broadcast_to(a, shape) for a in entries], axis=-1)
             lowest = np.linalg.eigvalsh(stacked.reshape(shape + (N, N)))[..., 0]
@@ -311,5 +282,4 @@ class ProblemSpec:
     def static(self) -> bool:
         """True when no entry of A and not omega varies in time, so one
         operator serves every step."""
-        entries = self.A.diag + list(self.A.off.values()) + [self.omega]
-        return all(np.ndim(entry) <= self.grid.dim for entry in entries)
+        return all(np.ndim(entry) <= self.grid.dim for entry in [*self.A.values(), self.omega])

@@ -113,10 +113,10 @@ class Stencil:
         cross = []
         for k in range(g.dim):
             for j in range(k + 1, g.dim):
-                c = at_level(g, spec.A.component(k, j), t_index)
+                c = at_level(g, spec.A[k, j], t_index)
                 if not (np.isscalar(c) and c == 0.0):
                     cross.append((k, j, c))
-        return cls(g, [at_level(g, spec.A.component(k, k), t_index) for k in range(g.dim)],
+        return cls(g, [at_level(g, spec.A[k, k], t_index) for k in range(g.dim)],
                    cross, at_level(g, spec.omega, t_index) + shift)
 
     def apply(self, u: np.ndarray) -> np.ndarray:

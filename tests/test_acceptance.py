@@ -17,7 +17,7 @@ from parabolab.cli import run
 from parabolab.config import load_config
 from parabolab.errors import DomainError
 from parabolab.experiments import convergence_orders, diagnose, run_sweep, sweep_checks
-from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample
+from parabolab.fields import Grid, ProblemSpec, sample
 from parabolab.moser import chi, exponents, trace
 from parabolab.solver import solve_ibvp, solve_split
 
@@ -60,7 +60,7 @@ def _random_spec(rng, signed_f):
     for _ in range(dim):
         lo = float(rng.uniform(-1.0, 1.0))
         box.append((lo, lo + float(rng.uniform(0.5, 2.0))))
-    g = make_grid(box, nx, float(rng.uniform(0.2, 1.0)), int(rng.integers(6, 16)))
+    g = Grid(box, nx, float(rng.uniform(0.2, 1.0)), int(rng.integers(6, 16)))
     diag = []
     for _ in range(dim):
         if rng.uniform() < 0.5:
@@ -76,7 +76,7 @@ def _random_spec(rng, signed_f):
     pv = rng.normal(size=g.shape_space)
     if not signed_f:
         pv = np.abs(pv)
-    return ProblemSpec(g, MatrixCoefficient(g, diag), omega, fv, pv, lam, 4.0)
+    return ProblemSpec(g, {(k, k): d for k, d in enumerate(diag)}, omega, fv, pv, lam, 4.0)
 
 
 def test_criterion_2_discrete_maximum_principle():
@@ -96,7 +96,7 @@ def _mms_l1_cases():
     for dim in (1, 2):
         shape = [(0.0, 1.0)] * dim
         nx = [32] * dim if dim == 1 else [24, 24]
-        g = make_grid(shape, nx, 0.5, 32)
+        g = Grid(shape, nx, 0.5, 32)
         rate = dim * math.pi ** 2 - 1.0
 
         def f_fn(*args, rate=rate):
@@ -106,7 +106,7 @@ def _mms_l1_cases():
                 out = out * np.sin(math.pi * x)
             return out
 
-        cases.append(ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, sample(f_fn, g), 0.0))
+        cases.append(ProblemSpec(g, {}, 0.0, sample(f_fn, g), 0.0))
     return cases
 
 
@@ -196,7 +196,7 @@ def test_criterion_7_interpolation_inequality(acceptance_sweep):
     ok = bool(result.diagnoses) and measured["interpolation"] == 0
     # constant fields realize equality: w = 2.5 is u = log 2.5; beta0 = 1
     # and q = 4 give the first rung r = 8/3 and alpha = 1
-    g = make_grid([(0.0, 1.0)], [8], 0.5, 4)
+    g = Grid([(0.0, 1.0)], [8], 0.5, 4)
     u = np.full(g.shape_spacetime, math.log(2.5))
     lhs, rhs, passed = trace(u, g, 1.0, 4.0).interpolation
     ok = ok and passed and abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)

@@ -334,6 +334,35 @@ def test_nan_bump_forcing_is_a_configuration_error(tmp_path, capsys, monkeypatch
     assert err.startswith("configuration error: ") and "nan" in err
 
 
+# diagnose once ended in an OverflowError traceback: the peak 0.25^-600 of
+# a bump datum passed no check before it was sampled
+def test_an_overflowing_bump_datum_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_split", _no_work)
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write("[grid]\nbox = 0,1 0,1\nnx = 16,16\nT = 0.5\nnt = 64\n"
+                 "[forcing]\nf = bump eps=0.25 gamma=600\n")
+    assert run(["diagnose", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "forcing.f" in err
+
+
+# the peak 24 * 0.354^-400, near 4e180, is finite, but b.b overflowed at
+# step 3: numpy warned, and CG spent all 5,760 iterations on a nan residual
+def test_a_right_side_whose_norm_overflows_skips_its_row(tmp_path, capsys):
+    text = open(SMALL).read()
+    assert "gamma = 2.0" in text
+    path = os.path.join(tmp_path, "huge.cfg")
+    with open(path, "w") as fh:
+        fh.write(text.replace("gamma = 2.0", "gamma = 400"))
+    assert run(["sweep", "--config", path, "--out", str(tmp_path),
+                "--eps-list", "0.3535533905932738"]) == 0
+    captured = capsys.readouterr()
+    assert ("skipped eps = 0.353553: step 3: the right side's 2-norm overflows a double\n"
+            in captured.out)
+    assert captured.err == ""
+
+
 # i_max = 2000 once raised OverflowError building rungs above the cap
 def test_sweep_with_a_huge_i_max_matches_the_capped_ladder(tmp_path):
     text = open(SMALL).read()

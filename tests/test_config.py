@@ -20,7 +20,7 @@ def _write(tmp_path, text):
 
 def test_demo_config_loads():
     bundle = load_config(os.path.join(CONFIGS, "demo.cfg"))
-    g = bundle.grid
+    g = bundle.spec.grid
     assert g.dim == 2 and g.nx == (32, 32) and g.nt == 128
     assert bundle.spec.omega == 0.5
     assert bundle.spec.f.shape == g.shape_spacetime and bundle.spec.phi0.shape == g.shape_space
@@ -39,7 +39,7 @@ def test_sweep_config_loads_family_settings():
     assert s.beta0 == 1.0 and s.i_max == 12
     # the radial potential is finite because the center is a cell corner
     w = bundle.spec.omega
-    assert w.shape == bundle.grid.shape_space
+    assert w.shape == bundle.spec.grid.shape_space
     assert np.all(np.isfinite(w)) and np.min(w) > 0.0
 
 
@@ -88,8 +88,7 @@ lambda = 0.5
 """)
     bundle = load_config(path)
     A = bundle.spec.A
-    assert A.component(0, 0) == 2.0 and A.component(1, 1) == 3.0
-    assert A.component(0, 1) == 0.5
+    assert A == {(0, 0): 2.0, (0, 1): 0.5, (1, 1): 3.0}
 
 
 # a decaying a_ij once loaded as its t = 0 slice, static in time
@@ -105,8 +104,8 @@ axx = sine amplitude=5.0 decay=4.0
 lambda = 0.01
 """)
     bundle = load_config(path)
-    g = bundle.grid
-    axx = bundle.spec.A.component(0, 0)
+    g = bundle.spec.grid
+    axx = bundle.spec.A[0, 0]
     assert axx.shape == g.shape_spacetime
     profile = 5.0 * np.sin(np.pi * g.midpoints(0))
     for n, t in enumerate(g.time_levels()):

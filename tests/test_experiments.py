@@ -12,10 +12,10 @@ import pytest
 import parabolab.experiments as experiments
 from parabolab.config import load_config
 from parabolab.errors import ConfigurationError, FitError, ResolutionError, SolverError
-from parabolab.experiments import (BumpFamily, Diagnosis, SweepResult,
-                                   SweepRow, _svg_plot, _sweep_csv, _sweep_text, bump, diagnose,
+from parabolab.experiments import (BumpFamily, Diagnosis, SweepResult, SweepRow, _svg_plot,
+                                   _sweep_csv, _sweep_text, bump, check_bump, diagnose,
                                    diagnosis_checks, fit_log_law, run_sweep, sweep_checks)
-from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid
+from parabolab.fields import Grid, ProblemSpec
 from parabolab.moser import LadderRung, MoserTrace
 from parabolab.norms import lq_spacetime
 from parabolab.reductions import pairwise_sum
@@ -24,13 +24,13 @@ from parabolab.solver import solve_split
 
 def _grid_1d():
     # midpoints hit 0.5 exactly (odd cell count), t0 = 0.05 is level 50
-    return make_grid([(0.0, 1.0)], [25], 0.1, 100)
+    return Grid([(0.0, 1.0)], [25], 0.1, 100)
 
 
 def test_bump_peak_value_at_exact_center_sample():
     g = _grid_1d()
     eps, gamma = 0.2, 2.0
-    f = bump(eps, gamma, (0.5, 0.05), g)
+    f = bump(BumpFamily((0.5,), 0.05, gamma), eps, g)
     peak = f[50, 12]
     assert math.isclose(peak, eps ** -gamma * math.exp(-1.0), rel_tol=1e-12)
     assert f[50].argmax() == 12
@@ -42,26 +42,26 @@ def test_bump_peak_value_at_exact_center_sample():
 def test_bump_resolution_guards_prescribe_finer_grids():
     g = _grid_1d()   # h = 0.04, dt = 0.001
     with pytest.raises(ResolutionError) as err:
-        bump(0.1, 2.0, (0.5, 0.05), g)   # eps < 4h = 0.16
+        bump(BumpFamily((0.5,), 0.05), 0.1, g)   # eps < 4h = 0.16
     assert "nx" in str(err.value)
-    coarse_t = make_grid([(0.0, 1.0)], [100], 0.1, 10)   # 4 dt = 0.04
+    coarse_t = Grid([(0.0, 1.0)], [100], 0.1, 10)   # 4 dt = 0.04
     with pytest.raises(ResolutionError) as err:
-        bump(0.1, 2.0, (0.5, 0.05), coarse_t)            # eps^2 = 0.01 < 4 dt
+        bump(BumpFamily((0.5,), 0.05), 0.1, coarse_t)   # eps^2 = 0.01 < 4 dt
     assert "nt" in str(err.value)
     # equality passes: eps exactly 4h with a wide enough time box
-    g2 = make_grid([(0.0, 1.0)], [25], 0.2, 50)   # dt = 0.004, 4 dt = 0.016
-    f = bump(0.16, 2.0, (0.5, 0.1), g2)
+    g2 = Grid([(0.0, 1.0)], [25], 0.2, 50)   # dt = 0.004, 4 dt = 0.016
+    f = bump(BumpFamily((0.5,), 0.1), 0.16, g2)
     assert np.max(f) > 0.0
 
 
 def test_bump_demands_support_inside_the_open_cylinder():
     g = _grid_1d()
     with pytest.raises(ConfigurationError):
-        bump(0.2, 2.0, (0.15, 0.05), g)    # spills through the left wall
+        bump(BumpFamily((0.15,), 0.05), 0.2, g)     # spills through the left wall
     with pytest.raises(ConfigurationError):
-        bump(0.2, 2.0, (0.5, 0.03), g)     # starts before t = 0
-    with pytest.raises(ConfigurationError):
-        bump(0.2, 2.0, (0.5,), g)          # center needs N+1 entries
+        bump(BumpFamily((0.5,), 0.03), 0.2, g)      # starts before t = 0
+    with pytest.raises(ConfigurationError, match=r"^sweep\.x0 needs 1 components, got 2$"):
+        bump(BumpFamily((0.5, 0.5), 0.05), 0.2, g)  # x0 needs one entry per axis
 
 
 # a nan centre or eps once passed every range test (each comparison with
@@ -72,7 +72,21 @@ def test_bump_demands_support_inside_the_open_cylinder():
                                         (math.inf, (0.5, 0.05))])
 def test_bump_refuses_non_finite_eps_and_center(eps, center):
     with pytest.raises(ConfigurationError, match=r"(nan|inf)"):
-        bump(eps, 2.0, center, _grid_1d())
+        bump(BumpFamily(center[:1], center[1]), eps, _grid_1d())
+
+
+# the bump datum's peak once went unchecked: 0.25^-600 raised OverflowError
+def test_check_bump_refuses_an_infinite_peak_naming_its_key():
+    g = _grid_1d()
+    steep = BumpFamily((0.5,), 0.05, 600.0)
+    message = r"^sweep\.amplitude = 1\.0 and sweep\.gamma = 600\.0 leave no finite bump peak"
+    with pytest.raises(ConfigurationError, match=message + r" at eps = 0\.2$"):
+        check_bump(steep, 0.2, g)
+    with pytest.raises(ConfigurationError, match=r"^forcing\.f\.amplitude = 1\.0 and forcing"):
+        bump(steep, 0.2, g, "forcing.f")
+    check_bump(BumpFamily((0.5,), 0.05, 400.0), 0.2, g)   # 0.2^-400 is near 4e279
+    with pytest.raises(ConfigurationError, match="sweep.gamma = inf"):
+        check_bump(BumpFamily((0.5,), 0.05, math.inf), 0.2, g)
 
 
 @lru_cache(maxsize=None)
@@ -91,17 +105,17 @@ def profile_norm(p: float, N: int, points: int = 200000) -> float:
 
 
 def test_bump_norms_obey_parabolic_scaling():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
     for p in (2.0, 3.0):
         want = 0.25 ** ((2 + 2) / p - 2.0) * profile_norm(p, 2)
-        got, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), g, [p])
+        got, = lq_spacetime(bump(BumpFamily((0.5, 0.5), 0.15), 0.25, g), g, [p])
         assert abs(got - want) / want < 0.05
 
 
 def test_bump_q_norm_slope_tracks_the_scaling_exponent():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
-    n1, = lq_spacetime(bump(0.25, 2.0, (0.5, 0.5, 0.15), g), g, [4.0])
-    n2, = lq_spacetime(bump(0.125, 2.0, (0.5, 0.5, 0.15), g), g, [4.0])
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [64, 64], 0.3, 300)
+    n1, = lq_spacetime(bump(BumpFamily((0.5, 0.5), 0.15), 0.25, g), g, [4.0])
+    n2, = lq_spacetime(bump(BumpFamily((0.5, 0.5), 0.15), 0.125, g), g, [4.0])
     slope = math.log(n2 / n1) / math.log(0.5)
     assert abs(slope - ((2 + 2) / 4.0 - 2.0)) < 0.1   # -1 for N=2, q=4
 
@@ -109,8 +123,8 @@ def test_bump_q_norm_slope_tracks_the_scaling_exponent():
 def test_family_applies_amplitude():
     g = _grid_1d()
     fam = BumpFamily((0.5,), 0.05, 2.0, amplitude=24.0)
-    plain = bump(0.2, 2.0, (0.5, 0.05), g)
-    scaled = fam.field(0.2, g)
+    plain = bump(BumpFamily((0.5,), 0.05, 2.0), 0.2, g)
+    scaled = bump(fam, 0.2, g)
     assert np.allclose(scaled, 24.0 * plain)
 
 
@@ -138,17 +152,17 @@ def test_fit_refuses_degenerate_abscissas():
 
 
 def _small_template():
-    g = make_grid([(0.0, 0.75), (0.0, 0.75)], [16, 16], 0.26, 52)
-    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, 0.0, 1.0, 4.0)
+    g = Grid([(0.0, 0.75), (0.0, 0.75)], [16, 16], 0.26, 52)
+    spec = ProblemSpec(g, {}, 0.0, 0.0, 0.0, 1.0, 4.0)
     return g, spec
 
 
 # with f = zero the forced half is the number 0.0, which diagnose --check
 # must read as a zero space-time array
 def test_diagnose_takes_a_vanishing_forced_half():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
     X, Y = g.meshgrid()
-    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, X * (1.0 - X) * Y)
+    spec = ProblemSpec(g, {}, 0.0, 0.0, X * (1.0 - X) * Y)
     phi1, phi2 = solve_split(spec)
     assert phi1 == 0.0
     d = diagnose(spec, phi1, phi2)
@@ -160,8 +174,8 @@ def test_diagnose_takes_a_vanishing_forced_half():
 # with f = 0 and phi0 = 0 both halves are 0.0; np.abs(..., out=) on their
 # sum, a number, once raised TypeError
 def test_diagnose_takes_two_vanishing_halves():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
-    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, 0.0, 0.0)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.25, 8)
+    spec = ProblemSpec(g, {}, 0.0, 0.0, 0.0)
     assert solve_split(spec) == (0.0, 0.0)
     d = diagnose(spec, 0.0, 0.0)
     assert d.phi_sup == d.drift_sup == d.sup_phi0 == 0.0 and d.scale == 1.0
@@ -196,7 +210,7 @@ def test_run_sweep_skips_a_failed_solve_for_every_thread_count(monkeypatch):
     _, spec = _small_template()
     fam = BumpFamily((0.375, 0.375), 0.13, 2.0)
     real = experiments.solve_split
-    wide_peak = np.max(fam.field(2.0 ** -1.5, spec.grid))
+    wide_peak = np.max(bump(fam, 2.0 ** -1.5, spec.grid))
 
     def failing(spec, opts=None):
         if np.max(spec.f) > wide_peak:   # the narrower bump

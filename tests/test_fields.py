@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from parabolab.errors import ConfigurationError, EvaluationError
-from parabolab.fields import (MatrixCoefficient, ProblemSpec, at_level, check_entry, make_grid,
-                              sample, sample_initial)
+from parabolab.fields import Grid, ProblemSpec, at_level, check_entry, sample, sample_initial
 
 
 def test_grid_geometry():
-    g = make_grid([(0.0, 1.0), (0.0, 2.0)], [4, 8], 0.5, 10)
+    g = Grid([(0.0, 1.0), (0.0, 2.0)], [4, 8], 0.5, 10)
     assert g.dim == 2
     assert g.h == (0.25, 0.25)
     assert g.dt == 0.05
@@ -26,7 +25,7 @@ def test_grid_geometry():
 
 
 def test_midpoints_are_cell_centers():
-    g = make_grid([(1.0, 2.0)], [5], 1.0, 2)
+    g = Grid([(1.0, 2.0)], [5], 1.0, 2)
     xs = g.midpoints(0)
     assert np.allclose(xs, 1.0 + (np.arange(5) + 0.5) * 0.2)
     assert np.allclose(g.time_levels(), [0.0, 0.5, 1.0])
@@ -47,11 +46,11 @@ def test_midpoints_are_cell_centers():
 ])
 def test_bad_grids_rejected(box, nx, T, nt):
     with pytest.raises(ConfigurationError):
-        make_grid(box, nx, T, nt)
+        Grid(box, nx, T, nt)
 
 
 def test_field_shape_and_finiteness():
-    g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
+    g = Grid([(0.0, 1.0)], [4], 1.0, 2)
     with pytest.raises(ConfigurationError):
         check_entry(g, np.zeros((5,)), "f")
     bad = np.zeros((3, 4))
@@ -66,7 +65,7 @@ def test_field_shape_and_finiteness():
 
 def test_non_finite_value_names_its_grid_point():
     # index [1, 2] is time level 1 (t = dt = 0.5) at the third midpoint, x = 0.625
-    g = make_grid([(0, 1)], [4], 1.0, 2)
+    g = Grid([(0, 1)], [4], 1.0, 2)
     bad = np.zeros((3, 4))
     bad[1, 2] = np.inf
     with pytest.raises(EvaluationError, match=r"at point \(0\.625, 0\.5\)$"):
@@ -74,7 +73,7 @@ def test_non_finite_value_names_its_grid_point():
 
 
 def test_sample_matches_manual_evaluation():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [6, 6], 0.3, 3)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [6, 6], 0.3, 3)
     fn = lambda x, y, t: np.sin(math.pi * x) * np.cos(y) * math.exp(-t)
     f = sample(fn, g)
     X, Y = g.meshgrid()
@@ -86,28 +85,35 @@ def test_sample_matches_manual_evaluation():
 
 
 def test_matrix_coefficient_components():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
-    A = MatrixCoefficient.identity(g)
-    assert A.component(0, 0) == 1.0
-    assert A.component(0, 1) == 0.0
-    B = MatrixCoefficient(g, [2.0, 3.0], {(0, 1): 0.5})
-    assert B.component(1, 1) == 3.0
-    # symmetric access
-    assert B.component(1, 0) == B.component(0, 1) == 0.5
-    assert at_level(g, B.component(0, 0), 7) == 2.0
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    # the spec stores every pair i <= j, the unset ones from the identity
+    assert _spec(g).A == {(0, 0): 1.0, (0, 1): 0.0, (1, 1): 1.0}
+    B = _spec(g, A={(1, 1): 3.0, (0, 1): 0.5}, lam=0.5).A
+    assert B == {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 3.0}
+    assert at_level(g, B[0, 0], 7) == 1.0
     spatial = np.full(g.shape_space, 1.5)
-    C = MatrixCoefficient(g, [spatial, 1.0])
-    assert at_level(g, C.component(0, 0), 0).shape == g.shape_space
+    C = _spec(g, A={(0, 0): spatial}).A
+    assert at_level(g, C[0, 0], 0).shape == g.shape_space
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 2), (2, 2), (-1, 0), "axx", (0,)])
+def test_a_key_outside_the_upper_triangle_is_refused(key):
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    with pytest.raises(ConfigurationError, match=r"^A has no entry .*: its keys are the pairs "
+                                                 r"\(i, j\) with i <= j < 2$"):
+        _spec(g, A={key: 0.1})
 
 
 def test_problem_spec_grid_mismatch():
-    g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
-    g2 = make_grid([(0.0, 1.0)], [5], 1.0, 2)
-    A = MatrixCoefficient.identity(g)
+    g = Grid([(0.0, 1.0)], [4], 1.0, 2)
+    g2 = Grid([(0.0, 1.0)], [5], 1.0, 2)
+    A = {}
     f = np.zeros(g.shape_spacetime)
     phi0 = np.zeros(g.shape_space)
     with pytest.raises(ConfigurationError):
         ProblemSpec(g2, A, 0.0, f, phi0)
+    with pytest.raises(ConfigurationError, match=r"^coefficients\.axx: shape"):
+        ProblemSpec(g, {(0, 0): np.ones(g2.shape_space)}, 0.0, f, phi0)
     with pytest.raises(ConfigurationError, match=r"^forcing\.f: shape"):
         ProblemSpec(g, A, 0.0, np.zeros(g2.shape_spacetime), phi0)
     with pytest.raises(ConfigurationError, match=r"^forcing\.phi0 must not vary in time"):
@@ -115,8 +121,8 @@ def test_problem_spec_grid_mismatch():
 
 
 def test_omega_at_all_storage_kinds():
-    g = make_grid([(0.0, 1.0)], [4], 1.0, 2)
-    A = MatrixCoefficient.identity(g)
+    g = Grid([(0.0, 1.0)], [4], 1.0, 2)
+    A = {}
     f = np.zeros(g.shape_spacetime)
     phi0 = np.zeros(g.shape_space)
     s = ProblemSpec(g, A, 2.0, f, phi0)
@@ -128,12 +134,11 @@ def test_omega_at_all_storage_kinds():
     assert not s.static
     # an entry of A that varies in time makes the spec time-dependent too
     axx = np.ones(g.shape_spacetime)
-    assert not ProblemSpec(g, MatrixCoefficient(g, [axx]), 2.0, f, phi0).static
+    assert not ProblemSpec(g, {(0, 0): axx}, 2.0, f, phi0).static
 
 
 def _spec(g, A=None, omega=0.0, lam=1.0, q=4.0):
-    A = A if A is not None else MatrixCoefficient.identity(g)
-    return ProblemSpec(g, A, omega, 0.0, 0.0, lam, q)
+    return ProblemSpec(g, A if A is not None else {}, omega, 0.0, 0.0, lam, q)
 
 
 def _violations(g, **kwargs):
@@ -153,14 +158,14 @@ def _witness(message):
 
 
 def test_validate_admissible_identity():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [5, 5], 1.0, 4)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [5, 5], 1.0, 4)
     spec = _spec(g)
     assert spec.lam == 1.0 and spec.q == 4.0
 
 
 def test_validate_flags_weak_diagonal():
-    g = make_grid([(0.0, 1.0)], [5], 1.0, 4)
-    weak = MatrixCoefficient(g, [0.5])
+    g = Grid([(0.0, 1.0)], [5], 1.0, 4)
+    weak = {(0, 0): 0.5}
     bad = _violations(g, A=weak, lam=1.0)
     assert len(bad) == 1 and "smallest eigenvalue of A" in bad[0]
     assert _witness(bad[0]) == (0.5, None)
@@ -168,8 +173,8 @@ def test_validate_flags_weak_diagonal():
 
 def test_validate_flags_cross_term_degeneracy():
     # axx = ayy = 1 with axy = 0.6 drops the form to 0.4 along (e0 - e1)
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
-    A = MatrixCoefficient(g, [1.0, 1.0], {(0, 1): 0.6})
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    A = {(0, 0): 1.0, (1, 1): 1.0, (0, 1): 0.6}
     bad = [m for m in _violations(g, A=A, lam=1.0) if "smallest eigenvalue" in m]
     assert bad and math.isclose(_witness(bad[0])[0], 0.4, rel_tol=1e-12)
     # the same matrix is fine against a weaker claimed constant
@@ -179,8 +184,8 @@ def test_validate_flags_cross_term_degeneracy():
 def test_validate_catches_indefinite_a_between_probe_directions():
     # every e_i and (e_i +- e_j)/sqrt2 form stays >= 0.1, yet the smallest
     # eigenvalue is 5.05 - sqrt(4.95^2 + 1.1^2) = -0.0207
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
-    A = MatrixCoefficient(g, [10.0, 0.1], {(0, 1): 1.1})
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    A = {(0, 0): 10.0, (1, 1): 0.1, (0, 1): 1.1}
     bad = [m for m in _violations(g, A=A, lam=0.1) if "smallest eigenvalue" in m]
     assert len(bad) == 1
     value, point = _witness(bad[0])
@@ -189,7 +194,7 @@ def test_validate_catches_indefinite_a_between_probe_directions():
     # an array entry reports the sample where the eigenvalue is lowest
     axx = np.full((4, 4), 10.0)
     axx[2, 1] = 0.5
-    A = MatrixCoefficient(g, [axx, 1.0], {(0, 1): 0.6})
+    A = {(0, 0): axx, (1, 1): 1.0, (0, 1): 0.6}
     bad = _violations(g, A=A, lam=0.2)
     assert len(bad) == 1
     value, point = _witness(bad[0])
@@ -198,7 +203,7 @@ def test_validate_catches_indefinite_a_between_probe_directions():
 
 
 def test_validate_flags_negative_omega_with_location():
-    g = make_grid([(0.0, 1.0)], [8], 1.0, 2)
+    g = Grid([(0.0, 1.0)], [8], 1.0, 2)
     w = np.zeros(8)
     w[3] = -0.25
     bad = [m for m in _violations(g, omega=w) if "omega" in m]
@@ -211,11 +216,11 @@ def test_validate_flags_negative_omega_with_location():
 # a nan entry once passed the hypothesis check: eigvalsh returned nan, and
 # nan < lambda is false, so CG met the nan instead
 def test_coefficient_entries_are_finite_numbers_or_arrays():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
     with pytest.raises(ConfigurationError, match=r"^coefficients\.axx is not finite: nan$"):
-        MatrixCoefficient(g, [math.nan, 1.0])
+        _spec(g, A={(0, 0): math.nan, (1, 1): 1.0})
     with pytest.raises(ConfigurationError, match=r"^coefficients\.axy is not finite: inf$"):
-        MatrixCoefficient(g, [1.0, 1.0], {(0, 1): math.inf})
+        _spec(g, A={(0, 0): 1.0, (1, 1): 1.0, (0, 1): math.inf})
     with pytest.raises(ConfigurationError, match=r"^coefficients\.omega is not finite: nan$"):
         _spec(g, omega=float("nan"))
     bad = np.ones(g.shape_space)
@@ -229,8 +234,8 @@ def test_coefficient_entries_are_finite_numbers_or_arrays():
 
 
 def test_forcing_and_data_pass_the_entry_check():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
-    A = MatrixCoefficient.identity(g)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    A = {}
     with pytest.raises(ConfigurationError, match=r"^forcing\.f is not finite: nan$"):
         ProblemSpec(g, A, 0.0, math.nan, 0.0)
     bad = np.zeros(g.shape_space)
@@ -247,7 +252,7 @@ def test_forcing_and_data_pass_the_entry_check():
 
 
 def test_validate_critical_q_is_excluded():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 4], 1.0, 2)
     bad = _violations(g, q=2.0)   # q = 1 + N/2 exactly
     assert len(bad) == 1 and bad[0].startswith("q must exceed")
     assert _witness(bad[0]) == (2.0, None)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from parabolab.errors import (ConsistencyError, DomainError, RangeError)
-from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample
+from parabolab.fields import Grid, ProblemSpec, sample
 from parabolab.experiments import diagnose
 from parabolab.moser import (ALPHA_CANDIDATES, LADDER_CAP, assemble_bound, check_ladder, chi,
                              choose_alpha, exp_moment, exponents, first_rung, l1_check, ladder,
@@ -25,7 +25,7 @@ def _const(g, c, shape=None):
 
 
 def _grid():
-    return make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 6)
+    return Grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 6)
 
 
 def _log_const(g, c):
@@ -38,7 +38,7 @@ def test_normalize_uses_critical_norm_floored_at_one():
     phi = _const(g, 3.0)
 
     def diagnosis(f, phi1=phi):
-        spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.0, f, 0.0)
+        spec = ProblemSpec(g, {}, 0.0, f, 0.0)
         return diagnose(spec, phi1, 0.0)
 
     # constant forcing c has |f|_2 = c sqrt(|O_T|) = c / sqrt(2) here
@@ -56,7 +56,7 @@ def test_normalize_uses_critical_norm_floored_at_one():
     assert d.scale == 1.0
     assert d.trace.measured_sup == math.exp(3.0)
     # a forced part sampled on another grid fails the chain's shape check
-    other = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 5)
+    other = Grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 0.5, 5)
     with pytest.raises(DomainError, match="u must be sampled on the space-time grid"):
         diagnosis(big, _const(other, 3.0))
 
@@ -93,10 +93,10 @@ def test_exp_moment_of_constants():
 
 
 def test_l1_check_on_a_real_solution():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [16, 16], 0.4, 16)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [16, 16], 0.4, 16)
     f = sample(lambda x, y, t: 4.0 * np.sin(math.pi * x) * np.sin(math.pi * y)
                * math.exp(-t), g)
-    spec = ProblemSpec(g, MatrixCoefficient.identity(g), 0.25, f, 0.0)
+    spec = ProblemSpec(g, {}, 0.25, f, 0.0)
     phi1, _ = solve_split(spec)
     f_norm_1, f_norm_crit = lq_spacetime(f, g, (1.0, 2.0))
     scale = max(f_norm_crit, 1.0)
@@ -114,7 +114,7 @@ def test_l1_check_rejects_fabricated_state():
     # the chain takes N from the grid and refuses arrays of another shape:
     # once, N = u.ndim - 1 made exp_moment divide by zero on a 1-D array
     # and return a moment on a 5-D one
-    g1 = make_grid([(0.0, 1.0)], [4], 0.5, 4)
+    g1 = Grid([(0.0, 1.0)], [4], 0.5, 4)
     for u in (np.zeros(5), np.zeros((2, 4, 4, 4, 4))):
         with pytest.raises(DomainError, match="space-time grid"):
             trace(u, g1, 1.0, 4.0)

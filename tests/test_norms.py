@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parabolab.errors import DomainError
-from parabolab.fields import make_grid, sample
+from parabolab.fields import Grid, sample
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime, sup_t_spatial_l1
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import Stencil
@@ -15,7 +15,7 @@ from parabolab.solver import Stencil
 
 def _ramp_field():
     # f(x, t) = x on (0,1) x (0,1); initial slice excluded by the quadrature
-    g = make_grid([(0.0, 1.0)], [64], 1.0, 32)
+    g = Grid([(0.0, 1.0)], [64], 1.0, 32)
     return g, np.broadcast_to(g.midpoints(0), (33, 64)).copy()
 
 
@@ -54,7 +54,7 @@ def test_number_and_spatial_data_read_as_their_space_time_copies():
 
 
 def test_constant_field_norms():
-    g = make_grid([(0.0, 2.0), (0.0, 1.0)], [8, 8], 0.5, 4)
+    g = Grid([(0.0, 2.0), (0.0, 1.0)], [8, 8], 0.5, 4)
     c = 3.7
     f = np.full(g.shape_spacetime, c)
     vol = 2.0 * 0.5
@@ -69,7 +69,7 @@ def test_constant_field_norms():
 
 def test_averaged_norms_nondecreasing_in_p():
     rng = np.random.default_rng(7)
-    g = make_grid([(0.0, 1.0)], [32], 1.0, 16)
+    g = Grid([(0.0, 1.0)], [32], 1.0, 16)
     f = rng.uniform(0.0, 2.0, g.shape_spacetime)
     ps = [1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 64.0]
     ns = [_averaged(f, g, p) for p in ps]
@@ -80,7 +80,7 @@ def test_averaged_norms_nondecreasing_in_p():
 
 def test_log_space_path_agrees_with_direct():
     rng = np.random.default_rng(3)
-    g = make_grid([(0.0, 1.0)], [32], 1.0, 8)
+    g = Grid([(0.0, 1.0)], [32], 1.0, 8)
     f = rng.uniform(0.1, 1.5, g.shape_spacetime)
     # every p sums in log space; the direct power sums are still safe here
     vals = np.abs(f[1:])
@@ -91,14 +91,14 @@ def test_log_space_path_agrees_with_direct():
 
 
 def test_high_p_closes_on_ess_sup():
-    g = make_grid([(0.0, 1.0)], [64], 1.0, 16)
+    g = Grid([(0.0, 1.0)], [64], 1.0, 16)
     f = sample(lambda x, t: np.sin(math.pi * x), g)
     gap = abs(_averaged(f, g, 64.0) - ess_sup(f)) / ess_sup(f)
     assert gap < 0.05
 
 
 def test_huge_values_overflow_direct_but_not_log_space():
-    g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
+    g = Grid([(0.0, 1.0)], [8], 1.0, 4)
     f = np.full(g.shape_spacetime, 1e30)
     # (1e30)^16 passes the largest double, but the norm itself is finite
     ps = (1.0, 2.0, 16.0)
@@ -119,7 +119,7 @@ def test_log_power_sums_stay_finite_where_direct_sums_overflow():
 
 def test_holder_inequality():
     rng = np.random.default_rng(11)
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 4)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 4)
     for _ in range(20):
         u = rng.normal(size=g.shape_spacetime)
         v = rng.normal(size=g.shape_spacetime)
@@ -131,7 +131,7 @@ def test_holder_inequality():
 
 
 def test_zero_field_and_bad_exponent():
-    g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
+    g = Grid([(0.0, 1.0)], [8], 1.0, 4)
     z = np.zeros(g.shape_spacetime)
     assert lq_spacetime(z, g, [3.0, 1.0]) == [0.0, 0.0]
     assert lq_spacetime(0.0, g, [3.0]) == lq_spacetime(np.zeros(8), g, [3.0]) == [0.0]
@@ -146,7 +146,7 @@ def test_zero_field_and_bad_exponent():
 
 
 def test_sup_t_spatial_l1_picks_worst_slice():
-    g = make_grid([(0.0, 2.0)], [10], 1.0, 5)
+    g = Grid([(0.0, 2.0)], [10], 1.0, 5)
     vals = np.zeros(g.shape_spacetime)
     for k in range(6):
         vals[k] = (5 - k) * 0.5   # largest mass on the initial slice
@@ -174,7 +174,7 @@ def _hand_energy(u, g):
 
 def test_embedding_quotient_matches_hand_energy():
     rng = np.random.default_rng(5)
-    g = make_grid([(0.0, 1.0)] * 3, [5, 4, 6], 1.0, 2)
+    g = Grid([(0.0, 1.0)] * 3, [5, 4, 6], 1.0, 2)
     u = rng.normal(size=g.shape_space)
     energy = pairwise_sum(u * Stencil(g, [1.0] * 3).apply(u)) * g.cell_volume
     assert math.isclose(energy, _hand_energy(u, g), rel_tol=1e-12)

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from parabolab.experiments import Diagnosis, diagnose
-from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid
+from parabolab.fields import Grid, ProblemSpec
 from parabolab.moser import ALPHA_CANDIDATES, exp_moment, l1_check, trace
 from parabolab.norms import ess_sup, log_power_sums, lq_spacetime
 from parabolab.solver import Stencil, solve_ibvp, solve_split
 
 # (T, nt) with T <= 1 on the unit square: |Omega_T| <= 1, so a forcing
 # bounded by 1 has critical norm <= 1 and normalization leaves u = phi1
-GRID = make_grid([(0.0, 1.0), (0.0, 1.0)], [4, 5], 0.75, 3)
+GRID = Grid([(0.0, 1.0), (0.0, 1.0)], [4, 5], 0.75, 3)
 SHAPE = GRID.shape_spacetime
 
 
@@ -35,7 +35,7 @@ def step_systems(draw):
     """(M, dt, u, v, has_cross) with M = L + I/dt on 1-3 axes: a scalar or
     an array a_kk in [0.5, 2], optional cross terms |c| <= 0.3, omega >= 0."""
     nx = draw(st.lists(st.integers(4, 8), min_size=1, max_size=3))
-    grid = make_grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx, 1.0, 2)
+    grid = Grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx, 1.0, 2)
     shape = grid.shape_space
     cross = [(k, j, _coefficient(draw, shape, -0.3, 0.3)) for k in range(len(nx))
              for j in range(k + 1, len(nx)) if draw(st.booleans())]
@@ -63,12 +63,12 @@ def problems(draw):
     smallest eigenvalue of A stays above 0.1 > lambda), omega >= 0, and f
     and phi0 in [-1, 1]."""
     nx = draw(st.lists(st.integers(4, 6), min_size=1, max_size=3))
-    g = make_grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx,
-                  draw(st.floats(0.1, 1.0)), draw(st.integers(2, 5)))
+    g = Grid([(0.0, draw(st.floats(0.5, 2.0))) for _ in nx], nx,
+             draw(st.floats(0.1, 1.0)), draw(st.integers(2, 5)))
     shape = g.shape_space
     off = {(k, j): _coefficient(draw, shape, -0.2, 0.2) for k in range(len(nx))
            for j in range(k + 1, len(nx)) if draw(st.booleans())}
-    A = MatrixCoefficient(g, [_coefficient(draw, shape, 0.5, 2.0) for _ in nx], off)
+    A = {(k, k): _coefficient(draw, shape, 0.5, 2.0) for k in range(len(nx))} | off
     return ProblemSpec(g, A, _coefficient(draw, shape, 0.0, 2.0),
                        draw(_unit_arrays(g.shape_spacetime)), draw(_unit_arrays(shape)), lam=0.05)
 
@@ -154,7 +154,7 @@ def _two_sign_chain(spec, phi1, phi2, beta0=1.0, i_max=12):
 
 def _chains_agree(phi1, drift, forcing):
     phi1[0] = 0.0
-    spec = ProblemSpec(GRID, MatrixCoefficient.identity(GRID), 0.0, forcing, drift[0], q=4.0)
+    spec = ProblemSpec(GRID, {}, 0.0, forcing, drift[0], q=4.0)
     d = diagnose(spec, phi1, drift)
     assert d.scale == 1.0
     assert d == _two_sign_chain(spec, phi1, drift)

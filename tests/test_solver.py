@@ -9,13 +9,13 @@ import pytest
 from parabolab import solver
 from parabolab._cg import conjugate_gradient
 from parabolab.errors import ConfigurationError, SolverError
-from parabolab.fields import MatrixCoefficient, ProblemSpec, make_grid, sample_initial
+from parabolab.fields import Grid, ProblemSpec, sample_initial
 from parabolab.reductions import pairwise_sum
 from parabolab.solver import SolveOptions, Stencil, export_solution, solve_ibvp, solve_split
 
 
 def _heat_spec(g, f=0.0, phi0=0.0, omega=0.0, diag=None):
-    A = MatrixCoefficient.identity(g) if diag is None else MatrixCoefficient(g, diag)
+    A = {} if diag is None else {(k, k): d for k, d in enumerate(diag)}
     return ProblemSpec(g, A, omega, f, phi0)
 
 
@@ -23,7 +23,7 @@ def test_step_reproduces_discrete_eigenmode_decay():
     # sin(pi x) sampled at midpoints is an exact eigenvector of the
     # 1-D operator with eigenvalue mu = (2 - 2 cos(pi h)) / h^2, so a
     # backward Euler step is exactly division by 1 + dt mu.
-    g = make_grid([(0.0, 1.0)], [16], 0.1, 10)
+    g = Grid([(0.0, 1.0)], [16], 0.1, 10)
     h, dt = g.h[0], g.dt
     mu = (2.0 - 2.0 * math.cos(math.pi * h)) / h ** 2
     phi0 = sample_initial(lambda x: np.sin(math.pi * x), g)
@@ -33,7 +33,7 @@ def test_step_reproduces_discrete_eigenmode_decay():
 
 
 def test_zero_problem_stays_zero_without_iterations():
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 6)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [8, 8], 1.0, 6)
     sol = solve_ibvp(_heat_spec(g))
     assert np.all(sol.phi == 0.0)
     assert sol.total_iterations == 0
@@ -42,7 +42,7 @@ def test_zero_problem_stays_zero_without_iterations():
 
 def test_superposition_of_forcings():
     rng = np.random.default_rng(21)
-    g = make_grid([(0.0, 1.0), (0.0, 2.0)], [10, 12], 0.4, 8)
+    g = Grid([(0.0, 1.0), (0.0, 2.0)], [10, 12], 0.4, 8)
     f1 = rng.normal(size=g.shape_spacetime)
     f2 = rng.normal(size=g.shape_spacetime)
     both = f1 + f2
@@ -57,7 +57,7 @@ def test_superposition_of_forcings():
 
 def test_split_parts_sum_to_full_solution():
     rng = np.random.default_rng(33)
-    g = make_grid([(0.0, 1.0)], [24], 0.5, 12)
+    g = Grid([(0.0, 1.0)], [24], 0.5, 12)
     f = rng.normal(size=g.shape_spacetime)
     phi0 = rng.normal(size=g.shape_space)
     spec = _heat_spec(g, f=f, phi0=phi0, omega=0.3)
@@ -70,7 +70,7 @@ def test_split_parts_sum_to_full_solution():
 
 # a half whose data vanish is the number 0.0 and costs no solve
 def test_split_shortcuts_skip_work(monkeypatch):
-    g = make_grid([(0.0, 1.0)], [8], 0.5, 4)
+    g = Grid([(0.0, 1.0)], [8], 0.5, 4)
     calls = []
 
     def counting(spec, opts=None):
@@ -93,7 +93,7 @@ def test_number_and_spatial_data_solve_like_their_space_time_copies():
     # a number or a spatial array is the same at every level: the solve
     # reads it through at_level, bit for bit as its space-time copy
     rng = np.random.default_rng(9)
-    g = make_grid([(0.0, 1.0)], [10], 0.5, 5)
+    g = Grid([(0.0, 1.0)], [10], 0.5, 5)
     steady = rng.normal(size=g.shape_space)
     for f in (2.0, steady):
         copy = np.broadcast_to(f, g.shape_spacetime).copy()
@@ -106,7 +106,7 @@ def test_number_and_spatial_data_solve_like_their_space_time_copies():
 
 def test_initial_data_contracts_in_sup_norm():
     rng = np.random.default_rng(2)
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [12, 12], 1.0, 10)
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [12, 12], 1.0, 10)
     phi0 = rng.normal(size=g.shape_space)
     sol = solve_ibvp(_heat_spec(g, phi0=phi0, omega=0.5))
     assert np.max(np.abs(sol.phi)) <= np.max(np.abs(phi0)) + 1e-12
@@ -114,7 +114,7 @@ def test_initial_data_contracts_in_sup_norm():
 
 def test_maximum_principle_smoke():
     rng = np.random.default_rng(4)
-    g = make_grid([(0.0, 1.0)], [16], 0.6, 8)
+    g = Grid([(0.0, 1.0)], [16], 0.6, 8)
     f = rng.uniform(0.0, 3.0, g.shape_spacetime)
     phi0 = rng.uniform(0.0, 1.0, g.shape_space)
     sol = solve_ibvp(_heat_spec(g, f=f, phi0=phi0, diag=[1.7]))
@@ -123,7 +123,7 @@ def test_maximum_principle_smoke():
 
 def test_large_steps_remain_stable_and_bounded():
     # dt = 2.5 is far beyond any explicit stability limit
-    g = make_grid([(0.0, 1.0)], [32], 10.0, 4)
+    g = Grid([(0.0, 1.0)], [32], 10.0, 4)
     f = np.full(g.shape_spacetime, 2.0)
     phi0 = np.full(g.shape_space, 1.0)
     sol = solve_ibvp(_heat_spec(g, f=f, phi0=phi0))
@@ -136,8 +136,8 @@ def test_cross_terms_keep_solver_symmetric():
     # indefinite-looking anisotropy with axy = 0.4 stays elliptic and
     # the CG path must converge on it
     rng = np.random.default_rng(8)
-    g = make_grid([(0.0, 1.0), (0.0, 1.0)], [10, 10], 0.3, 6)
-    A = MatrixCoefficient(g, [1.0, 1.3], {(0, 1): 0.4})
+    g = Grid([(0.0, 1.0), (0.0, 1.0)], [10, 10], 0.3, 6)
+    A = {(0, 0): 1.0, (1, 1): 1.3, (0, 1): 0.4}
     f = rng.normal(size=g.shape_spacetime)
     spec = ProblemSpec(g, A, 0.0, f, 0.0, lam=0.5)
     sol = solve_ibvp(spec)
@@ -147,7 +147,7 @@ def test_cross_terms_keep_solver_symmetric():
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
     axy = 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)
     omega = rng.random(g.shape_space)
-    A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): axy})
+    A = {(0, 0): axx, (1, 1): 1.3, (0, 1): axy}
     L = Stencil.at(ProblemSpec(g, A, omega, f, 0.0, lam=0.5), 1)
     u, v = rng.normal(size=(2, *g.shape_space))
     assert math.isclose(np.sum(u * L.apply(v)), np.sum(L.apply(u) * v), rel_tol=1e-12)
@@ -158,7 +158,7 @@ def test_cross_terms_keep_solver_symmetric():
                                      ([(0.0, 1.0), (0.0, 0.75), (0.0, 2.0)], [4, 5, 4])])
 def test_scalar_and_constant_array_coefficients_give_one_operator(box, nx):
     rng = np.random.default_rng(len(nx))
-    g = make_grid(box, nx, 1.0, 2)
+    g = Grid(box, nx, 1.0, 2)
     shape = g.shape_space
     u = rng.normal(size=shape)
     scalar = Stencil(g, [2.0] * g.dim, omega=1.5)
@@ -197,7 +197,7 @@ def _reference_apply(L, u):
 
 
 def _random_stencil_args(rng, nx):
-    g = make_grid([(0.0, rng.uniform(0.5, 2.0)) for _ in nx], nx, 1.0, 2)
+    g = Grid([(0.0, rng.uniform(0.5, 2.0)) for _ in nx], nx, 1.0, 2)
     shape = g.shape_space
 
     def coefficient(low, high):
@@ -214,7 +214,7 @@ def test_stencil_apply_matches_the_diff_form_bit_for_bit():
              for d in (1, 2, 3) for _ in range(12)]
     # the 6x8x8 grid with an array a_22, on which wall ghosts written by
     # np.negative from one strided view into another came out wrong
-    g = make_grid([(0.0, 1.0)] * 3, [6, 8, 8], 1.0, 2)
+    g = Grid([(0.0, 1.0)] * 3, [6, 8, 8], 1.0, 2)
     cases.append((g, [1.0, 1.3, 0.5 + rng.random(g.shape_space)], [(1, 2, 0.2)], 0.0))
     for g, coeffs, cross, omega in cases:
         L = Stencil(g, coeffs, cross, omega)
@@ -255,9 +255,9 @@ def _textbook_cg(apply_op, b, x0, tol, max_iters):
 
 def _cross_term_step_system():
     rng = np.random.default_rng(5)
-    g = make_grid([(0.0, 1.0), (0.0, 0.8)], [14, 11], 0.2, 4)
+    g = Grid([(0.0, 1.0), (0.0, 0.8)], [14, 11], 0.2, 4)
     axx = 1.0 + 0.5 * rng.random(g.shape_space)
-    A = MatrixCoefficient(g, [axx, 1.3], {(0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)})
+    A = {(0, 0): axx, (1, 1): 1.3, (0, 1): 0.3 * rng.uniform(-1.0, 1.0, g.shape_space)}
     omega = rng.random(g.shape_space)
     spec = ProblemSpec(g, A, omega, 0.0, 0.0, lam=0.5)
     apply_op = Stencil.at(spec, 1, 1.0 / g.dt).apply
@@ -296,10 +296,21 @@ def test_cg_failures_carry_their_residuals():
     with pytest.raises(SolverError, match="stalled") as err:
         conjugate_gradient(apply_op, b, history[0], 1e-10, 3)
     assert err.value.residual == stalled_rel > 1e-10
+    with pytest.raises(SolverError, match="^the right side's 2-norm overflows a double$"):
+        conjugate_gradient(apply_op, np.full_like(b, 1e160), history[0], 1e-10, 3)
+
+
+def test_an_empty_a_solves_like_the_identity():
+    g = Grid([(0.0, 1.0), (0.0, 0.75)], [8, 6], 0.2, 5)
+    f = np.random.default_rng(3).normal(size=g.shape_spacetime)
+    empty = solve_ibvp(ProblemSpec(g, {}, 0.5, f, 0.0))
+    identity = solve_ibvp(ProblemSpec(g, {(0, 0): 1.0, (1, 1): 1.0}, 0.5, f, 0.0))
+    assert np.array_equal(empty.phi, identity.phi)
+    assert empty.iterations == identity.iterations
 
 
 def test_time_dependent_omega_matches_manual_stepping():
-    g = make_grid([(0.0, 1.0)], [12], 0.5, 5)
+    g = Grid([(0.0, 1.0)], [12], 0.5, 5)
     ramp = np.broadcast_to(np.linspace(0.0, 2.0, 6)[:, None], (6, 12)).copy()
     f = np.ones(g.shape_spacetime)
     spec = _heat_spec(g, f=f, omega=ramp)
@@ -315,7 +326,7 @@ def test_time_dependent_omega_matches_manual_stepping():
 
 def test_export_import_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    g = make_grid([(0.0, 0.75), (0.25, 1.0)], [6, 5], 0.3, 4)
+    g = Grid([(0.0, 0.75), (0.25, 1.0)], [6, 5], 0.3, 4)
     f = rng.normal(size=g.shape_spacetime)
     sol = solve_ibvp(_heat_spec(g, f=f))
     path = os.path.join(tmp_path, "solution.txt")
@@ -344,6 +355,6 @@ def test_solve_options_validation():
 
 
 def test_inadmissible_spec_is_rejected():
-    g = make_grid([(0.0, 1.0)], [8], 1.0, 4)
+    g = Grid([(0.0, 1.0)], [8], 1.0, 4)
     with pytest.raises(ConfigurationError, match="omega must be nonnegative"):
         _heat_spec(g, omega=-1.0)
